@@ -344,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("enumerate", _cmd_enumerate, help="all rough matroids over a covering")
     p.add_argument("structure")
-    p.add_argument("--start", type=int, default=0, help="resume from this subfamily index")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the scan")
+    p.add_argument("--start", type=int, default=0, help="resume from this subfamily index (0..2^|D|)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1 (capped at the CPU count)")
     p.add_argument("--max-family-base", type=int, default=18)
 
     p = add("cross-check", _cmd_cross_check, help="full law suite for one covering")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
+from weakref import WeakValueDictionary
 
 from .core import (
     NeighborhoodMap,
@@ -31,6 +32,8 @@ from .report import AxiomFailure, CheckReport
 # the union-closure construction.
 SCAN_METHOD_LIMIT = 12
 HARD_SCAN_LIMIT = 20
+# Built families, each kept only while some caller still holds it.
+_FAMILIES: WeakValueDictionary = WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -114,20 +117,17 @@ def is_definable(nm: NeighborhoodMap, x: Subset) -> bool:
     return definable_bits(nm.cell_bits, x.bits)
 
 
-def _scan_bits(nm: NeighborhoodMap) -> list[int]:
-    n = nm.universe.size
-    cells = nm.cell_bits
+def _scan_bits(n: int, cells: tuple[int, ...]) -> list[int]:
     return [b for b in range(1 << n) if definable_bits(cells, b)]
 
 
-def _closure_bits(nm: NeighborhoodMap) -> list[int]:
+def _closure_bits(cells: tuple[int, ...]) -> list[int]:
     # All unions of neighborhood images (the empty union included), then a
     # definability filter.  Every definable set is such a union, so the
     # closure over-approximates at worst.
     closure = {0}
-    for cell in nm.cell_bits:
+    for cell in cells:
         closure |= {b | cell for b in closure}
-    cells = nm.cell_bits
     return [b for b in closure if definable_bits(cells, b)]
 
 
@@ -138,22 +138,30 @@ def definable_family(nm: NeighborhoodMap, method: str = "auto") -> SetFamily:
     (bounded), ``"closure"`` builds unions of neighborhood images,
     ``"auto"`` picks the scan for small universes.  Both routes return the
     same family; the scan-versus-closure agreement is one of the package's
-    tested laws.
+    tested laws.  A family is memoised per neighborhood map and method while
+    any caller holds it, so repeated calls return that same immutable object.
     """
-    n = nm.universe.size
     if method == "auto":
-        method = "scan" if n <= SCAN_METHOD_LIMIT else "closure"
+        method = "scan" if nm.universe.size <= SCAN_METHOD_LIMIT else "closure"
+    key = (nm.universe, nm.cell_bits, method)
+    if (family := _FAMILIES.get(key)) is None:
+        family = _FAMILIES[key] = _build_family(*key)
+    return family
+
+
+def _build_family(universe: Universe, cells: tuple[int, ...], method: str) -> SetFamily:
+    n = universe.size
     if method == "scan":
         if n > HARD_SCAN_LIMIT:
             raise SizeBoundError(
                 f"powerset scan over {n} elements exceeds the bound of {HARD_SCAN_LIMIT}"
             )
-        bits = _scan_bits(nm)
+        bits = _scan_bits(n, cells)
     elif method == "closure":
-        bits = _closure_bits(nm)
+        bits = _closure_bits(cells)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return SetFamily.from_bits(nm.universe, bits)
+    return SetFamily.from_bits(universe, bits)
 
 
 def fixpoint_family_lower(nm: NeighborhoodMap) -> SetFamily:

@@ -3,10 +3,10 @@
 A family closed under union and intersection is a lattice under inclusion
 with join = union and meet = intersection.  ``build_lattice`` requires that
 closure up front (the closure witness rides along in the error), computes
-the cover edges of inclusion, and designates the least and greatest
-members.  The law checkers scan every pair and triple and report the first
-counterexample in canonical order; the atomicity check is informational and
-returns the atom list either way.
+the cover edges of inclusion from unions of member masks, and designates
+the least and greatest members.  The law checkers scan every pair and
+triple and report the first counterexample in canonical order; the
+atomicity check is informational and returns the atom list either way.
 """
 
 from __future__ import annotations
@@ -44,6 +44,12 @@ class LatticeDiagram:
     bottom: Subset
     top: Subset
 
+    def __post_init__(self):
+        mem = self.family.members
+        for i, j in self.edges:
+            if not mem[i] < mem[j]:
+                raise ValueError(f"edge ({i}, {j}) is not a strict inclusion")
+
     @property
     def nodes(self) -> tuple[Subset, ...]:
         return self.family.members
@@ -54,7 +60,13 @@ class LatticeDiagram:
 
 
 def build_lattice(family: SetFamily) -> LatticeDiagram:
-    """Hasse diagram of inclusion over a union/intersection-closed family."""
+    """Hasse diagram of inclusion over a union/intersection-closed family.
+
+    After the closure gate the covers are computed on membership masks: in a
+    union-closed family the strict supersets of a member x are the sets
+    ``x | y`` (y a member, ``x | y != x``), so its upper covers are the
+    minimal ones; no triple of members is ever scanned.
+    """
     if len(family) == 0:
         raise NotALatticeError(
             CheckReport("closure", passed=False, notes="empty family has no bottom element")
@@ -63,21 +75,15 @@ def build_lattice(family: SetFamily) -> LatticeDiagram:
     if not closure.passed:
         raise NotALatticeError(closure)
     members = family.members
-    n = len(members)
+    index = {m.bits: i for i, m in enumerate(members)}
     edges: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not members[i] < members[j]:
-                continue
-            covered = True
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                if members[i] < members[k] and members[k] < members[j]:
-                    covered = False
-                    break
-            if covered:
-                edges.append((i, j))
+    for i, x in enumerate(index):
+        # in popcount order a union is minimal iff no kept union lies inside it
+        kept: list[int] = []
+        for up in sorted({x | y for y in index} - {x}, key=int.bit_count):
+            if all(k & ~up for k in kept):
+                kept.append(up)
+        edges.extend((i, index[up]) for up in kept)
     # Closure under both operations makes the total meet and join members,
     # hence the canonical first and last entries.
     return LatticeDiagram(family, tuple(sorted(edges)), members[0], members[-1])

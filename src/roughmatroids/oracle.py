@@ -10,6 +10,7 @@ only; every report records the seed it was produced with.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -80,11 +81,14 @@ def enumerate_rough_matroids(
     check, in ascending subfamily-index order.
 
     The subfamily index is the bit mask selecting members of the definable
-    family in canonical order, so partial runs can resume from ``start``.
-    With ``jobs`` greater than one the index range is partitioned across
-    worker processes and merged back in order.
+    family in canonical order, so partial runs can resume from ``start``,
+    which must lie in ``0..2**|D|``.  With ``jobs`` greater than one the
+    index range is split into at most ``jobs`` ranges, scanned by at most
+    ``os.cpu_count()`` worker processes and merged back in order.
     """
     budget = budget or EnumerationBudget()
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     dfam = definable_family(neighborhoods_of_covering(covering))
     base = len(dfam)
     if base > budget.max_family_base:
@@ -93,14 +97,15 @@ def enumerate_rough_matroids(
             f"at {budget.max_family_base}"
         )
     total = 1 << base
-    if jobs <= 1 or total - start < 1024:
+    if not 0 <= start <= total:
+        raise ValueError(f"start must lie in 0..{total} (2^{base}), got {start}")
+    if jobs == 1 or total - start < 1024:
         masks = _passing_masks(covering, start, total)
     else:
         step = (total - start + jobs - 1) // jobs
-        ranges = [
-            (start + k * step, min(start + (k + 1) * step, total)) for k in range(jobs)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        ranges = [(a, min(a + step, total)) for a in range(start, total, step)]
+        workers = min(jobs, len(ranges), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(_passing_masks_star, [(covering, a, b) for a, b in ranges])
         masks = [m for chunk in chunks for m in chunk]
     return [_subfamily(dfam, mask) for mask in masks]

@@ -279,6 +279,18 @@ class TestOtherCommands:
         assert payload["count"] == 6
         assert len(payload["families"]) == 6
 
+    def test_enumerate_rejects_start_outside_the_index_range(self, capsys):
+        code, out, err = run(capsys, "enumerate", fx("cov_chain3.json"), "--start", "-3")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
+    def test_enumerate_rejects_nonpositive_jobs(self, capsys):
+        code, out, err = run(capsys, "enumerate", fx("cov_chain3.json"), "--jobs", "0")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
     def test_cross_check_requires_seed(self, capsys):
         code, _, err = run(capsys, "cross-check", fx("cov_chain3.json"))
         assert code == 2

@@ -117,6 +117,56 @@ class TestDefinableFamily:
         with pytest.raises(ValueError):
             definable_family(neighborhoods_of_covering(chain_covering), method="magic")
 
+    def test_repeated_call_returns_the_same_family(self, hex_covering):
+        nm = neighborhoods_of_covering(hex_covering)
+        family = definable_family(nm)
+        assert definable_family(nm) is family
+        # an equal map built afresh hits the same entry; "auto" resolves first
+        assert definable_family(neighborhoods_of_covering(hex_covering)) is family
+        assert definable_family(nm, "scan") is family
+
+    def test_memo_keeps_no_family_that_no_caller_holds(self):
+        # a strong cache would keep stale families alive and raise peak memory
+        import gc
+        import weakref
+
+        nm = neighborhoods_of_covering(random_covering(7, 0.3, 5))
+        ref = weakref.ref(definable_family(nm))
+        gc.collect()
+        assert ref() is None
+
+    def test_methods_are_memoised_apart_and_agree(self, mixed4_covering):
+        nm = neighborhoods_of_covering(mixed4_covering)
+        scan = definable_family(nm, "scan")
+        closure = definable_family(nm, "closure")
+        assert scan is not closure
+        assert scan == closure
+        assert definable_family(nm, "closure") is closure
+
+    def test_same_cells_on_different_universes_stay_apart(self):
+        # identical cell masks, different labels: each family keeps its own
+        # universe and label notation
+        u1, u2 = Universe(("a", "b")), Universe(("x", "y"))
+        f1 = definable_family(neighborhoods_of_covering(Covering.from_labels(u1, [["a"], ["b"]])))
+        f2 = definable_family(neighborhoods_of_covering(Covering.from_labels(u2, [["x"], ["y"]])))
+        assert f1.bitset() == f2.bitset() == {0, 1, 2, 3}
+        assert f1.universe == u1 and f2.universe == u2
+        assert all(m.universe == u2 for m in f2)
+        assert [m.notation() for m in f2] == ["{}", "{x}", "{y}", "{x, y}"]
+
+    def test_relation_with_empty_cells_through_the_memoised_route(self):
+        # b and c have no successors (empty cells); only the empty set and
+        # a's image {a, b} are definable
+        u = Universe(("a", "b", "c"))
+        rel = BinaryRelation.from_labels(u, [("a", "a"), ("a", "b")])
+        nm = successor_neighborhoods(rel)
+        assert nm.cell_bits == (0b011, 0, 0)
+        expected = {frozenset(), frozenset({"a", "b"})}
+        for method in ("scan", "closure"):
+            family = definable_family(nm, method)
+            assert {frozenset(m.members()) for m in family} == expected == brute_definable(nm)
+            assert definable_family(successor_neighborhoods(rel), method) is family
+
     @given(st.integers(1, 8), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_scan_equals_closure_for_coverings(self, n, seed):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from roughmatroids import (
     Covering,
+    LatticeDiagram,
     NotALatticeError,
     SetFamily,
     Universe,
@@ -19,6 +20,7 @@ from roughmatroids import (
     neighborhoods_of_covering,
     random_covering,
 )
+from test_acceptance import all_neighborhood_signatures
 
 
 def brute_cover_pairs(family):
@@ -80,6 +82,37 @@ class TestBuildLattice:
         )
         diagram = build_lattice(family)
         assert list(diagram.edges) == brute_cover_pairs(family)
+
+    def test_edges_match_brute_route_on_every_small_neighborhood_map(self):
+        # one covering per distinct neighborhood map on up to four elements
+        seen = set()
+        for n in range(1, 5):
+            for covering in all_neighborhood_signatures(n):
+                family = definable_family(neighborhoods_of_covering(covering))
+                if family.bitset() in seen:
+                    continue
+                seen.add(family.bitset())
+                diagram = build_lattice(family)
+                assert list(diagram.edges) == brute_cover_pairs(family)
+        assert len(seen) > 300
+
+    @pytest.mark.parametrize("n,seed,size", [(8, 3, 48), (10, 8, 44), (11, 11, 137), (9, 7, 180)])
+    def test_edges_match_brute_route_on_sparse_random_coverings(self, n, seed, size):
+        family = definable_family(neighborhoods_of_covering(random_covering(n, 0.3, seed)))
+        assert len(family) == size
+        diagram = build_lattice(family)
+        assert list(diagram.edges) == brute_cover_pairs(family)
+        assert diagram.bottom == family.members[0] and diagram.top == family.members[-1]
+
+    def test_diagram_rejects_an_edge_that_is_not_a_strict_inclusion(self, chain_covering):
+        family = definable_family(neighborhoods_of_covering(chain_covering))
+        bottom, top = family.members[0], family.members[-1]
+        # {b} -> {} runs downwards, {a, b} -> {b, c} joins incomparable sets,
+        # and a self-loop is no strict inclusion
+        for edge in ((1, 0), (2, 3), (2, 2)):
+            with pytest.raises(ValueError):
+                LatticeDiagram(family, ((0, 1), edge), bottom, top)
+        assert LatticeDiagram(family, ((0, 1),), bottom, top).edges == ((0, 1),)
 
 
 class TestLatticeLaws:

@@ -18,7 +18,15 @@ from roughmatroids import (
     random_covering,
     random_relation,
 )
+from roughmatroids import oracle
 from roughmatroids.oracle import _subfamily, is_matroid_masks
+
+
+def ten_set_covering():
+    # neighborhoods {a}, {a,b}, {a,c}, {d}: ten definable sets, so 1024
+    # subfamily indices, the smallest range the scan splits across workers
+    u = Universe(("a", "b", "c", "d"))
+    return Covering.from_labels(u, [["a", "b"], ["a", "c"], ["d"]])
 
 
 class TestEnumerationBudget:
@@ -98,6 +106,48 @@ class TestEnumerateRoughMatroids:
         seq = enumerate_rough_matroids(mixed4_covering, budget, jobs=1)
         par = enumerate_rough_matroids(mixed4_covering, budget, jobs=2)
         assert seq == par
+
+    def test_start_must_lie_in_the_index_range(self, chain_covering):
+        # five definable sets: indices 0..32, where 32 is the empty tail
+        assert enumerate_rough_matroids(chain_covering, start=32) == []
+        for start in (-3, -1, 33, 1 << 40):
+            with pytest.raises(ValueError, match="start"):
+                enumerate_rough_matroids(chain_covering, start=start)
+
+    def test_jobs_must_be_positive(self, chain_covering):
+        for jobs in (0, -2):
+            with pytest.raises(ValueError, match="jobs"):
+                enumerate_rough_matroids(chain_covering, jobs=jobs)
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        # an in-process stand-in for the pool records the worker count it
+        # was asked for; no process is started
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        covering = ten_set_covering()
+        serial = enumerate_rough_matroids(covering)
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+        for cpus, jobs, workers in ((2, 8, 2), (64, 3, 3), (None, 4, 1), (64, 5000, 64)):
+            monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+            assert enumerate_rough_matroids(covering, jobs=jobs) == serial
+            assert asked[-1] == workers
+        # 5000 jobs over 1024 indices leave 1024 one-index ranges
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2000)
+        enumerate_rough_matroids(covering, jobs=5000)
+        assert asked[-1] == 1024
 
     def test_budget_enforced(self, hex_covering):
         with pytest.raises(SizeBoundError):
