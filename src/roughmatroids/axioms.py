@@ -7,6 +7,14 @@ replaying a witness against the matching predicate below reproduces the
 failure.  Scans iterate families in canonical order, so reports are
 deterministic and the first failing instance found is the smallest one.
 
+The six rough-matroid systems (plain, lower and upper, each over a covering
+or a relation) run through one kernel, ``_check_rough_given``.  All six are
+the same three axioms, the empty set, heredity and exchange, applied to a
+set's image under an operator: the identity for the plain systems, the
+lower or upper approximation on the neighborhood cells for the others.
+The kernel compares images as plain membership masks and builds a
+``Subset`` only for a witness.
+
 The approximation-based systems restrict heredity to candidates that are
 both included in the independent set and dominated by it under the
 approximation operator.  On covering neighborhoods the two conditions
@@ -19,6 +27,7 @@ family upward.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from .core import (
@@ -65,11 +74,7 @@ def augmentation_within(family: SetFamily, i1: Subset, i2: Subset) -> bool:
 def exchange_within(family: SetFamily, i1: Subset, i2: Subset) -> bool:
     """Body of the rough exchange axiom for one pair: some family member
     lies strictly between i1 and i1 | i2."""
-    hi = i1.bits | i2.bits
-    for m in family:
-        if i1.bits & ~m.bits == 0 and m.bits != i1.bits and m.bits & ~hi == 0:
-            return True
-    return False
+    return approx_exchange_within(family, lambda bits: bits, i1, i2)
 
 
 def approx_exchange_within(
@@ -80,30 +85,8 @@ def approx_exchange_within(
     i1 together with i2."""
     a1 = approx(i1.bits)
     hi = a1 | approx(i2.bits)
-    for m in family:
-        am = approx(m.bits)
-        if a1 & ~am == 0 and am != a1 and am & ~hi == 0:
-            return True
-    return False
-
-
-def _definability_precondition(
-    check: str, dfam: SetFamily, family: SetFamily
-) -> CheckReport | None:
-    for m in family:
-        if m not in dfam:
-            return CheckReport(
-                check,
-                passed=False,
-                failures=(
-                    AxiomFailure(
-                        "definability",
-                        {"member": m},
-                        note="candidate family must consist of definable sets",
-                    ),
-                ),
-            )
-    return None
+    images = (approx(m.bits) for m in family)
+    return any(a1 & ~am == 0 and am != a1 and am & ~hi == 0 for am in images)
 
 
 def check_matroid(universe: Universe, family: SetFamily) -> CheckReport:
@@ -141,30 +124,50 @@ def _check_rough_given(
     family: SetFamily,
     tags: tuple[str, str, str],
     include_exchange: bool = True,
+    approx: ApproxFn | None = None,
 ) -> CheckReport:
-    """Shared body of the plain rough-matroid check for a precomputed
-    definable family; heredity ranges over definable subsets only."""
-    pre = _definability_precondition(check, dfam, family)
-    if pre is not None:
-        return pre
+    """The rough-matroid kernel over a precomputed definable family: the
+    family must consist of definable sets, then the empty set, heredity over
+    definable subsets and exchange, each on the members' images under
+    ``approx`` (the members themselves when it is absent)."""
+    inside = family.bitset()
+    if family.universe != dfam.universe or not inside <= dfam.bitset():
+        stray = next((m for m in family if m not in dfam), None)
+        if stray is not None:
+            note = "candidate family must consist of definable sets"
+            failure = AxiomFailure("definability", {"member": stray}, note=note)
+            return CheckReport(check, passed=False, failures=(failure,))
     t1, t2, t3 = tags
-    universe = family.universe
+    members = family.members
+    images = [m.bits if approx is None else approx(m.bits) for m in members]
     failures: list[AxiomFailure] = []
-    if not family.contains_bits(0):
-        failures.append(AxiomFailure(t1, {"missing": universe.empty()}))
+    if 0 not in inside:
+        failures.append(AxiomFailure(t1, {"missing": family.universe.empty()}))
 
     def heredity_failure() -> AxiomFailure | None:
-        for ind in family:
+        for ind, image in zip(members, images):
+            bits = ind.bits
             for cand in dfam:
-                if cand.bits & ~ind.bits == 0 and not family.contains_bits(cand.bits):
+                sub = cand.bits
+                if (
+                    sub & ~bits == 0
+                    and sub not in inside
+                    and (approx is None or approx(sub) & ~image == 0)
+                ):
                     return AxiomFailure(t2, {"I": ind, "I'": cand})
         return None
 
     def exchange_failure() -> AxiomFailure | None:
-        for i1 in family:
-            for i2 in family:
-                if len(i1) < len(i2) and not exchange_within(family, i1, i2):
-                    return AxiomFailure(t3, {"I1": i1, "I2": i2})
+        sizes = [image.bit_count() for image in images]
+        for i1, a1, s1 in zip(members, images, sizes):
+            for i2, a2, s2 in zip(members, images, sizes):
+                if s1 < s2:
+                    hi = a1 | a2
+                    for a in images:
+                        if a1 & ~a == 0 and a != a1 and a & ~hi == 0:
+                            break
+                    else:
+                        return AxiomFailure(t3, {"I1": i1, "I2": i2})
         return None
 
     finders = [heredity_failure]
@@ -177,87 +180,45 @@ def _check_rough_given(
     return CheckReport(check, passed=not failures, failures=tuple(failures))
 
 
+def _check_on(
+    check: str,
+    nm: NeighborhoodMap,
+    family: SetFamily,
+    prefix: str,
+    approx_bits: Callable[[tuple[int, ...], int], int] | None = None,
+) -> CheckReport:
+    """One rough-matroid system over a neighborhood map: axioms tagged
+    ``<prefix>I1``..``<prefix>I3``, images under ``approx_bits`` on the
+    map's cells."""
+    approx = None if approx_bits is None else partial(approx_bits, nm.cell_bits)
+    tags = (f"{prefix}I1", f"{prefix}I2", f"{prefix}I3")
+    return _check_rough_given(check, definable_family(nm), family, tags, approx=approx)
+
+
 def check_rough_matroid_covering(covering: Covering, family: SetFamily) -> CheckReport:
     """Rough matroid over a covering: membership in the definable family,
     then the empty set, definable-subset heredity, and exchange."""
-    dfam = definable_family(neighborhoods_of_covering(covering))
-    return _check_rough_given("rough-cov", dfam, family, ("CI1", "CI2", "CI3"))
-
-
-def _check_approx_given(
-    check: str,
-    dfam: SetFamily,
-    family: SetFamily,
-    approx: ApproxFn,
-    tags: tuple[str, str, str],
-) -> CheckReport:
-    pre = _definability_precondition(check, dfam, family)
-    if pre is not None:
-        return pre
-    t1, t2, t3 = tags
-    universe = family.universe
-    failures: list[AxiomFailure] = []
-    if not family.contains_bits(0):
-        failures.append(AxiomFailure(t1, {"missing": universe.empty()}))
-    apx = {m.bits: approx(m.bits) for m in dfam}
-
-    def heredity_failure() -> AxiomFailure | None:
-        for ind in family:
-            ai = apx[ind.bits]
-            for cand in dfam:
-                if (
-                    cand.bits & ~ind.bits == 0
-                    and apx[cand.bits] & ~ai == 0
-                    and not family.contains_bits(cand.bits)
-                ):
-                    return AxiomFailure(t2, {"I": ind, "I'": cand})
-        return None
-
-    def exchange_failure() -> AxiomFailure | None:
-        for i1 in family:
-            for i2 in family:
-                if apx[i1.bits].bit_count() < apx[i2.bits].bit_count():
-                    if not approx_exchange_within(family, lambda b: apx[b], i1, i2):
-                        return AxiomFailure(t3, {"I1": i1, "I2": i2})
-        return None
-
-    for finder in (heredity_failure, exchange_failure):
-        failure = finder()
-        if failure is not None:
-            failures.append(failure)
-    return CheckReport(check, passed=not failures, failures=tuple(failures))
-
-
-def _lower_fn(nm: NeighborhoodMap) -> ApproxFn:
-    return lambda bits: lower_approx_bits(nm.cell_bits, bits)
-
-
-def _upper_fn(nm: NeighborhoodMap) -> ApproxFn:
-    return lambda bits: upper_approx_bits(nm.cell_bits, bits)
+    return _check_on("rough-cov", neighborhoods_of_covering(covering), family, "C")
 
 
 def check_lower_rough_matroid_covering(covering: Covering, family: SetFamily) -> CheckReport:
     nm = neighborhoods_of_covering(covering)
-    dfam = definable_family(nm)
-    return _check_approx_given("lower-cov", dfam, family, _lower_fn(nm), ("LI1", "LI2", "LI3"))
+    return _check_on("lower-cov", nm, family, "L", lower_approx_bits)
 
 
 def check_upper_rough_matroid_covering(covering: Covering, family: SetFamily) -> CheckReport:
     nm = neighborhoods_of_covering(covering)
-    dfam = definable_family(nm)
-    return _check_approx_given("upper-cov", dfam, family, _upper_fn(nm), ("UI1", "UI2", "UI3"))
+    return _check_on("upper-cov", nm, family, "U", upper_approx_bits)
 
 
 def check_lower_rough_matroid_relation(relation: BinaryRelation, family: SetFamily) -> CheckReport:
     nm = successor_neighborhoods(relation)
-    dfam = definable_family(nm)
-    return _check_approx_given("lower-rel", dfam, family, _lower_fn(nm), ("LI1", "LI2", "LI3"))
+    return _check_on("lower-rel", nm, family, "L", lower_approx_bits)
 
 
 def check_upper_rough_matroid_relation(relation: BinaryRelation, family: SetFamily) -> CheckReport:
     nm = successor_neighborhoods(relation)
-    dfam = definable_family(nm)
-    return _check_approx_given("upper-rel", dfam, family, _upper_fn(nm), ("UI1", "UI2", "UI3"))
+    return _check_on("upper-rel", nm, family, "U", upper_approx_bits)
 
 
 def check_matroid_condition(covering: Covering, family: SetFamily) -> CheckReport:

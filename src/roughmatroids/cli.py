@@ -8,14 +8,16 @@ Exit codes: 0 for completed runs whose verdicts all pass, 1 for completed
 runs carrying a fail verdict, 2 for malformed input or usage errors.  The
 split lets shell pipelines tell "checked and failed" apart from "could not
 check".  Usage and input errors are reported as a JSON error object on
-stderr.  Randomized commands take an explicit --seed; there is no
-wall-clock default.
+stderr, and library warnings (a universe over 20 elements) as JSON warning
+objects, so stderr carries JSON only.  Randomized commands take an
+explicit --seed; there is no wall-clock default.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from . import fileio
@@ -45,7 +47,7 @@ from .core import (
     upper_approx,
 )
 from .definable import definable_family, is_definable
-from .lattice import NotALatticeError, build_lattice, export_dot
+from .lattice import build_lattice, export_dot
 from .oracle import EnumerationBudget, cross_check, enumerate_rough_matroids
 from .report import CheckReport
 
@@ -76,6 +78,10 @@ def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(fileio.dumps({"error": {"type": kind, "message": message}}))
 
 
+def _emit_warning(message, category, *_) -> None:
+    sys.stderr.write(fileio.dumps({"warning": {"type": category.__name__, "message": str(message)}}))
+
+
 def _write(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text, encoding="utf-8")
@@ -94,7 +100,7 @@ def _render_report(report: CheckReport, fmt: str) -> str:
     if fmt == "text":
         lines = [f"{report.check}: {'PASS' if report.passed else 'FAIL'}"]
         for f in report.failures:
-            witness = ", ".join(f"{k}={fileio._jsonable(v)}" for k, v in f.witness.items())
+            witness = ", ".join(f"{k}={fileio.jsonable(v)}" for k, v in f.witness.items())
             lines.append(f"  {f.axiom}: {witness}" + (f"  ({f.note})" if f.note else ""))
         if report.notes:
             lines.append(f"  note: {report.notes}")
@@ -362,14 +368,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.fn(args)
-    except (fileio.InputFormatError, NotALatticeError) as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _emit_warning
+        try:
+            return args.fn(args)
+        except (ValueError, KeyError, OSError) as exc:
+            _emit_error(type(exc).__name__, str(exc))
+            return 2
 
 
 if __name__ == "__main__":

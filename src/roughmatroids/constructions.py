@@ -215,21 +215,15 @@ def check_ci3_prime(covering: Covering, family: SetFamily) -> CheckReport:
         return base
     failures = list(base.failures)
 
-    def ci3_prime_failure() -> AxiomFailure | None:
-        for d in dfam:
-            inside = [m for m in family if m.bits & ~d.bits == 0]
-            maximal = [
-                m
-                for m in inside
-                if not any(m.bits != o.bits and m.bits & ~o.bits == 0 for o in inside)
-            ]
-            if len({len(m) for m in maximal}) > 1:
-                first = maximal[0]
-                other = next(m for m in maximal if len(m) != len(first))
-                return AxiomFailure("CI3'", {"D": d, "I1": first, "I2": other})
-        return None
-
-    failure = ci3_prime_failure()
-    if failure is not None:
-        failures.append(failure)
+    universe = family.universe
+    masks = [m.bits for m in family]
+    for d in dfam:
+        inside = [b for b in masks if b & ~d.bits == 0]
+        maximal = [b for b in inside if all(b == o or b & ~o for o in inside)]
+        sizes = [b.bit_count() for b in maximal]
+        if len(set(sizes)) > 1:
+            other = next(b for b, k in zip(maximal, sizes) if k != sizes[0])
+            witness = {"D": d, "I1": Subset(universe, maximal[0]), "I2": Subset(universe, other)}
+            failures.append(AxiomFailure("CI3'", witness))
+            break
     return CheckReport("ci3prime", passed=not failures, failures=tuple(failures))

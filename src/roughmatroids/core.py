@@ -34,7 +34,8 @@ class LawViolationError(RuntimeError):
     """A proved equivalence failed on concrete input (indicates a bug)."""
 
 
-def _require_same_universe(a, b) -> None:
+def require_same_universe(a, b) -> None:
+    """Raise UniverseMismatchError unless a and b share one universe."""
     if a.universe != b.universe:
         raise UniverseMismatchError(
             f"values live on different universes: "
@@ -151,15 +152,15 @@ class Subset:
         return iter(self.members())
 
     def __or__(self, other: Subset) -> Subset:
-        _require_same_universe(self, other)
+        require_same_universe(self, other)
         return Subset(self.universe, self.bits | other.bits)
 
     def __and__(self, other: Subset) -> Subset:
-        _require_same_universe(self, other)
+        require_same_universe(self, other)
         return Subset(self.universe, self.bits & other.bits)
 
     def __sub__(self, other: Subset) -> Subset:
-        _require_same_universe(self, other)
+        require_same_universe(self, other)
         return Subset(self.universe, self.bits & ~other.bits)
 
     def complement(self) -> Subset:
@@ -167,7 +168,7 @@ class Subset:
         return Subset(self.universe, self.bits ^ full)
 
     def issubset(self, other: Subset) -> bool:
-        _require_same_universe(self, other)
+        require_same_universe(self, other)
         return self.bits & ~other.bits == 0
 
     def __le__(self, other: Subset) -> bool:
@@ -346,18 +347,18 @@ def upper_approx_bits(cell_bits: tuple[int, ...], xbits: int) -> int:
 
 def lower_approx(nm: NeighborhoodMap, x: Subset) -> Subset:
     """Elements whose whole neighborhood lies inside x."""
-    _require_same_universe(nm, x)
+    require_same_universe(nm, x)
     return Subset(nm.universe, lower_approx_bits(nm.cell_bits, x.bits))
 
 
 def upper_approx(nm: NeighborhoodMap, x: Subset) -> Subset:
     """Elements whose neighborhood meets x."""
-    _require_same_universe(nm, x)
+    require_same_universe(nm, x)
     return Subset(nm.universe, upper_approx_bits(nm.cell_bits, x.bits))
 
 
 def check_duality(nm: NeighborhoodMap, x: Subset) -> bool:
     """Law check: the lower approximation of the complement equals the
     complement of the upper approximation."""
-    _require_same_universe(nm, x)
+    require_same_universe(nm, x)
     return lower_approx(nm, x.complement()) == upper_approx(nm, x).complement()

@@ -13,7 +13,7 @@ need not be definable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 from weakref import WeakValueDictionary
 
 from .core import (
@@ -22,8 +22,8 @@ from .core import (
     Subset,
     Universe,
     UniverseMismatchError,
-    _require_same_universe,
     lower_approx_bits,
+    require_same_universe,
     upper_approx_bits,
 )
 from .report import AxiomFailure, CheckReport
@@ -113,7 +113,7 @@ def definable_bits(cell_bits: tuple[int, ...], xbits: int) -> bool:
 
 def is_definable(nm: NeighborhoodMap, x: Subset) -> bool:
     """True when x equals the union of its members' neighborhoods."""
-    _require_same_universe(nm, x)
+    require_same_universe(nm, x)
     return definable_bits(nm.cell_bits, x.bits)
 
 
@@ -166,12 +166,7 @@ def _build_family(universe: Universe, cells: tuple[int, ...], method: str) -> Se
 
 def fixpoint_family_lower(nm: NeighborhoodMap) -> SetFamily:
     """All sets equal to their own lower approximation."""
-    n = nm.universe.size
-    if n > HARD_SCAN_LIMIT:
-        raise SizeBoundError(f"fixpoint scan over {n} elements exceeds the bound")
-    cells = nm.cell_bits
-    bits = [b for b in range(1 << n) if lower_approx_bits(cells, b) == b]
-    return SetFamily.from_bits(nm.universe, bits)
+    return _fixpoint_family(nm, lower_approx_bits)
 
 
 def fixpoint_family_upper(nm: NeighborhoodMap) -> SetFamily:
@@ -183,11 +178,17 @@ def fixpoint_family_upper(nm: NeighborhoodMap) -> SetFamily:
     only when that family is complement-closed (partition-like
     neighborhoods); the coincidence is a checkable finding, not a law.
     """
+    return _fixpoint_family(nm, upper_approx_bits)
+
+
+def _fixpoint_family(
+    nm: NeighborhoodMap, approx_bits: Callable[[tuple[int, ...], int], int]
+) -> SetFamily:
     n = nm.universe.size
     if n > HARD_SCAN_LIMIT:
         raise SizeBoundError(f"fixpoint scan over {n} elements exceeds the bound")
     cells = nm.cell_bits
-    bits = [b for b in range(1 << n) if upper_approx_bits(cells, b) == b]
+    bits = [b for b in range(1 << n) if approx_bits(cells, b) == b]
     return SetFamily.from_bits(nm.universe, bits)
 
 

@@ -153,7 +153,8 @@ def neighborhoods_payload(nm) -> dict:
     }
 
 
-def _jsonable(value: Any) -> Any:
+def jsonable(value: Any) -> Any:
+    """Subsets, families and reports (also nested) as JSON-ready values."""
     if isinstance(value, Subset):
         return subset_payload(value)
     if isinstance(value, SetFamily):
@@ -161,9 +162,9 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, CheckReport):
         return report_payload(value)
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     return value
 
 
@@ -173,11 +174,11 @@ def report_payload(report: CheckReport) -> dict:
         "check": report.check,
         "pass": report.passed,
         "failed_axiom": report.failed_axiom,
-        "witness": _jsonable(dict(report.witness)) if report.witness is not None else None,
+        "witness": jsonable(dict(report.witness)) if report.witness is not None else None,
         "failures": [
             {
                 "axiom": f.axiom,
-                "witness": _jsonable(dict(f.witness)),
+                "witness": jsonable(dict(f.witness)),
                 **({"note": f.note} if f.note else {}),
             }
             for f in report.failures
@@ -186,7 +187,7 @@ def report_payload(report: CheckReport) -> dict:
     if report.notes:
         payload["notes"] = report.notes
     if report.details:
-        payload["details"] = _jsonable(dict(report.details))
+        payload["details"] = jsonable(dict(report.details))
     return payload
 
 

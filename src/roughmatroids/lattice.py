@@ -84,9 +84,10 @@ def build_lattice(family: SetFamily) -> LatticeDiagram:
             if all(k & ~up for k in kept):
                 kept.append(up)
         edges.extend((i, index[up]) for up in kept)
-    # Closure under both operations makes the total meet and join members,
-    # hence the canonical first and last entries.
-    return LatticeDiagram(family, tuple(sorted(edges)), members[0], members[-1])
+    # The closure gate makes the total meet and join members, whatever
+    # order the members are listed in.
+    bottom, top = family.intersection_all(), family.union_all()
+    return LatticeDiagram(family, tuple(sorted(edges)), bottom, top)
 
 
 def _first_law_failure(members, axiom, arity, holds):

@@ -28,7 +28,13 @@ from .core import (
 )
 from .axioms import _check_rough_given
 from .constructions import check_ci3_prime
-from .definable import SetFamily, check_closure, definable_family
+from .definable import (
+    SetFamily,
+    check_closure,
+    definable_family,
+    fixpoint_family_lower,
+    fixpoint_family_upper,
+)
 from .lattice import build_lattice, check_atomicity, check_lattice_laws
 from .report import AxiomFailure, CheckReport
 
@@ -288,8 +294,8 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
     details["closure"] = "pass" if closure.passed else "fail"
 
     dbits = dfam.bitset()
-    fix_lower = {b for b in range(1 << n) if lower_approx_bits(cells, b) == b}
-    fix_upper = {b for b in range(1 << n) if upper_approx_bits(cells, b) == b}
+    fix_lower = fixpoint_family_lower(nm).bitset()
+    fix_upper = fixpoint_family_upper(nm).bitset()
     fix_ok = fix_lower == dbits
     if not fix_ok:
         odd = min(fix_lower ^ dbits)

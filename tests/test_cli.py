@@ -322,6 +322,31 @@ class TestOtherCommands:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "InputFormatError"
 
+    def test_large_universe_warning_is_json_on_stderr(self, capsys, tmp_path):
+        labels = [f"x{i}" for i in range(22)]
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"universe": labels, "covering": [labels]}))
+        warning = {
+            "warning": {
+                "type": "UserWarning",
+                "message": "universe has 22 elements; exhaustive operations are bounded at 20",
+            }
+        }
+        code, out, err = run(capsys, "neighborhoods", str(wide))
+        assert code == 0
+        assert json.loads(out)["universe"] == labels
+        assert json.loads(err) == warning
+        # a warning raised before an error comes first, both as JSON
+        code, out, err = run(capsys, "definable", str(wide), "--method", "scan")
+        assert code == 2
+        assert out == ""
+        decoder = json.JSONDecoder()
+        first, end = decoder.raw_decode(err)
+        second, end = decoder.raw_decode(err, end + 1)
+        assert first == warning
+        assert second["error"]["type"] == "SizeBoundError"
+        assert end == len(err) - 1
+
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, "lattice", fx("cov_hex.json"), "--format", "dot")
         _, second, _ = run(capsys, "lattice", fx("cov_hex.json"), "--format", "dot")

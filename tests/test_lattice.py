@@ -62,6 +62,13 @@ class TestBuildLattice:
         assert diagram.edges == ()
         assert diagram.bottom == diagram.top == u.empty()
 
+    def test_bottom_and_top_do_not_depend_on_member_order(self):
+        u = Universe(("a", "b"))
+        diagram = build_lattice(SetFamily(u, (u.full(), u.empty())))
+        assert diagram.bottom == u.empty()
+        assert diagram.top == u.full()
+        assert check_atomicity(diagram).details["atoms"] == ["{a, b}"]
+
     def test_unclosed_family_rejected(self):
         u = Universe(("a", "b"))
         family = SetFamily.from_labels(u, [[], ["a"], ["b"]])

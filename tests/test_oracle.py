@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from roughmatroids import (
@@ -101,10 +104,20 @@ class TestEnumerateRoughMatroids:
         assert head == full
         assert [f for f in full if f in tail] == tail
 
-    def test_parallel_matches_sequential(self, mixed4_covering):
-        budget = EnumerationBudget()
-        seq = enumerate_rough_matroids(mixed4_covering, budget, jobs=1)
-        par = enumerate_rough_matroids(mixed4_covering, budget, jobs=2)
+    def test_parallel_matches_sequential(self, monkeypatch):
+        # 1024 subfamily indices are enough to split across the real pool
+        started = []
+
+        class WatchedPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", WatchedPool)
+        covering = ten_set_covering()
+        seq = enumerate_rough_matroids(covering, jobs=1)
+        par = enumerate_rough_matroids(covering, jobs=2)
+        assert started == [min(2, os.cpu_count() or 1)]
         assert seq == par
 
     def test_start_must_lie_in_the_index_range(self, chain_covering):
