@@ -156,7 +156,7 @@ def _cmd_definable(args) -> int:
         }
         _write(fileio.dumps(payload), args.output)
         return 0
-    family = definable_family(nm, method=args.method)
+    family = definable_family(nm)
     _write(fileio.dumps(fileio.family_payload(family)), args.output)
     return 0
 
@@ -311,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("definable", _cmd_definable, help="definable family, or test one set")
     p.add_argument("structure")
     p.add_argument("--set", help="test this set literal instead of emitting the family")
-    p.add_argument("--method", choices=("auto", "scan", "closure"), default="auto")
 
     p = add("lattice", _cmd_lattice, help="Hasse diagram of the definable-set lattice")
     p.add_argument("structure")

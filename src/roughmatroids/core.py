@@ -184,7 +184,7 @@ class Subset:
     def canonical_key(self) -> tuple[int, tuple[int, ...]]:
         """Sort key realising the canonical order: cardinality, then the
         ascending member-index tuple."""
-        return (self.bits.bit_count(), self.indices())
+        return canonical_mask_key(self.bits)
 
     def notation(self) -> str:
         return "{" + ", ".join(self.members()) + "}"

@@ -2,12 +2,13 @@
 
 A set is definable when it equals the union of its members' neighborhoods.
 The same test applies to covering neighborhoods and to successor
-neighborhoods of a relation.  The family of all definable sets can be
-computed two ways: a full powerset scan, or by closing the neighborhood
-images under union and filtering.  For covering neighborhoods the filter
-never removes anything (every union of neighborhoods is definable); for
-relation neighborhoods it is required, since a union of successor images
-need not be definable.
+neighborhoods of a relation.  Every definable set is a union of
+neighborhood images, so the family of all definable sets is built by
+closing the images under union and filtering for definability.  For
+covering neighborhoods the filter never removes anything (every union of
+neighborhoods is definable); for relation neighborhoods it is required,
+since a union of successor images need not be definable.  The closure
+holds at most 2^n sets and is bounded at 2^SCAN_LIMIT.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable, Iterable, Iterator
 from weakref import WeakValueDictionary
 
 from .core import (
+    SCAN_LIMIT,
     NeighborhoodMap,
     SizeBoundError,
     Subset,
@@ -28,10 +30,6 @@ from .core import (
 )
 from .report import AxiomFailure, CheckReport
 
-# Above this size the automatic method switches from the powerset scan to
-# the union-closure construction.
-SCAN_METHOD_LIMIT = 12
-HARD_SCAN_LIMIT = 20
 # Built families, each kept only while some caller still holds it.
 _FAMILIES: WeakValueDictionary = WeakValueDictionary()
 
@@ -117,51 +115,33 @@ def is_definable(nm: NeighborhoodMap, x: Subset) -> bool:
     return definable_bits(nm.cell_bits, x.bits)
 
 
-def _scan_bits(n: int, cells: tuple[int, ...]) -> list[int]:
-    return [b for b in range(1 << n) if definable_bits(cells, b)]
-
-
-def _closure_bits(cells: tuple[int, ...]) -> list[int]:
-    # All unions of neighborhood images (the empty union included), then a
-    # definability filter.  Every definable set is such a union, so the
-    # closure over-approximates at worst.
-    closure = {0}
-    for cell in cells:
-        closure |= {b | cell for b in closure}
-    return [b for b in closure if definable_bits(cells, b)]
-
-
-def definable_family(nm: NeighborhoodMap, method: str = "auto") -> SetFamily:
+def definable_family(nm: NeighborhoodMap) -> SetFamily:
     """The family of all definable sets.
 
-    ``method`` selects the construction: ``"scan"`` walks the full powerset
-    (bounded), ``"closure"`` builds unions of neighborhood images,
-    ``"auto"`` picks the scan for small universes.  Both routes return the
-    same family; the scan-versus-closure agreement is one of the package's
-    tested laws.  A family is memoised per neighborhood map and method while
-    any caller holds it, so repeated calls return that same immutable object.
+    Built as all unions of neighborhood images (the empty union included),
+    filtered for definability; every definable set is such a union, so the
+    closure over-approximates at worst.  Raises ``SizeBoundError`` once the
+    closure grows past 2^SCAN_LIMIT sets.  A family is memoised per
+    neighborhood map while any caller holds it, so repeated calls return
+    that same immutable object.
     """
-    if method == "auto":
-        method = "scan" if nm.universe.size <= SCAN_METHOD_LIMIT else "closure"
-    key = (nm.universe, nm.cell_bits, method)
+    key = (nm.universe, nm.cell_bits)
     if (family := _FAMILIES.get(key)) is None:
-        family = _FAMILIES[key] = _build_family(*key)
+        family = _FAMILIES[key] = SetFamily.from_bits(nm.universe, _closure_bits(nm.cell_bits))
     return family
 
 
-def _build_family(universe: Universe, cells: tuple[int, ...], method: str) -> SetFamily:
-    n = universe.size
-    if method == "scan":
-        if n > HARD_SCAN_LIMIT:
+def _closure_bits(cells: tuple[int, ...]) -> list[int]:
+    # Returns a list so the closure set is freed before the family is built.
+    closure = {0}
+    for cell in cells:
+        closure |= {b | cell for b in closure}
+        if len(closure) > 1 << SCAN_LIMIT:
             raise SizeBoundError(
-                f"powerset scan over {n} elements exceeds the bound of {HARD_SCAN_LIMIT}"
+                f"union closure over {len(cells)} elements exceeds the "
+                f"bound of 2^{SCAN_LIMIT} sets"
             )
-        bits = _scan_bits(n, cells)
-    elif method == "closure":
-        bits = _closure_bits(cells)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return SetFamily.from_bits(universe, bits)
+    return [b for b in closure if definable_bits(cells, b)]
 
 
 def fixpoint_family_lower(nm: NeighborhoodMap) -> SetFamily:
@@ -185,7 +165,7 @@ def _fixpoint_family(
     nm: NeighborhoodMap, approx_bits: Callable[[tuple[int, ...], int], int]
 ) -> SetFamily:
     n = nm.universe.size
-    if n > HARD_SCAN_LIMIT:
+    if n > SCAN_LIMIT:
         raise SizeBoundError(f"fixpoint scan over {n} elements exceeds the bound")
     cells = nm.cell_bits
     bits = [b for b in range(1 << n) if approx_bits(cells, b) == b]

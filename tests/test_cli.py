@@ -337,7 +337,7 @@ class TestOtherCommands:
         assert json.loads(out)["universe"] == labels
         assert json.loads(err) == warning
         # a warning raised before an error comes first, both as JSON
-        code, out, err = run(capsys, "definable", str(wide), "--method", "scan")
+        code, out, err = run(capsys, "cross-check", str(wide), "--seed", "0")
         assert code == 2
         assert out == ""
         decoder = json.JSONDecoder()
@@ -346,6 +346,20 @@ class TestOtherCommands:
         assert first == warning
         assert second["error"]["type"] == "SizeBoundError"
         assert end == len(err) - 1
+
+    def test_definable_past_the_closure_bound_exit_two(self, capsys, tmp_path, monkeypatch):
+        # the discrete 12-element covering closes to 2^12 sets; a bound
+        # lowered to 2^11 stands in for a universe past 20 elements
+        from roughmatroids import definable
+
+        labels = [f"x{i}" for i in range(12)]
+        discrete = tmp_path / "discrete.json"
+        discrete.write_text(json.dumps({"universe": labels, "covering": [[x] for x in labels]}))
+        monkeypatch.setattr(definable, "SCAN_LIMIT", 11)
+        code, out, err = run(capsys, "definable", str(discrete))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "SizeBoundError"
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, "lattice", fx("cov_hex.json"), "--format", "dot")

@@ -1,4 +1,5 @@
-"""Definable sets, the two family constructions, fixpoints, and closure."""
+"""Definable sets, the family construction against a powerset scan,
+fixpoints, and closure."""
 
 from __future__ import annotations
 
@@ -39,6 +40,21 @@ def brute_definable(nm):
             if union == set(combo):
                 out.append(frozenset(combo))
     return set(out)
+
+
+def scan_definable(nm):
+    """Reference route on masks: every subset of the powerset whose
+    members' neighborhood images union to the subset itself."""
+    cells = nm.cell_bits
+    bits = []
+    for x in range(1 << nm.universe.size):
+        union = 0
+        for i, cell in enumerate(cells):
+            if x >> i & 1:
+                union |= cell
+        if union == x:
+            bits.append(x)
+    return SetFamily.from_bits(nm.universe, bits)
 
 
 class TestIsDefinable:
@@ -93,19 +109,35 @@ class TestDefinableFamily:
         u = Universe(("a", "b"))
         rel = BinaryRelation.from_labels(u, [("a", "b")])
         nm = successor_neighborhoods(rel)
-        assert definable_family(nm, method="closure") == definable_family(nm, method="scan")
+        assert definable_family(nm) == scan_definable(nm)
         assert definable_family(nm) == SetFamily.from_labels(u, [[]])
 
     def test_scan_bound(self):
+        # the powerset scans stop at SCAN_LIMIT elements; the union closure
+        # is bounded by the number of sets it holds, so a one-block covering
+        # of 21 elements still has its two definable sets
         with pytest.warns(UserWarning):
             u = Universe(tuple(f"x{i}" for i in range(21)))
-        covering = Covering(u, (u.full(),))
+        nm = neighborhoods_of_covering(Covering(u, (u.full(),)))
         with pytest.raises(SizeBoundError):
-            definable_family(neighborhoods_of_covering(covering), method="scan")
+            fixpoint_family_lower(nm)
+        assert definable_family(nm) == SetFamily.of(u, [u.empty(), u.full()])
 
-    def test_auto_switches_to_closure_above_scan_limit(self):
-        # a 13-element partition: the automatic method takes the closure
-        # route and still returns the right family (class unions)
+    def test_closure_past_the_bound_raises(self, monkeypatch):
+        # the discrete 12-element covering closes to 2^12 sets; lowering the
+        # bound shows the check without building 2^21 sets
+        from roughmatroids import definable
+
+        u = Universe(tuple(f"x{i}" for i in range(12)))
+        nm = neighborhoods_of_covering(Covering(u, u.singletons()))
+        monkeypatch.setattr(definable, "SCAN_LIMIT", 11)
+        with pytest.raises(SizeBoundError, match="2\\^11"):
+            definable_family(nm)
+        monkeypatch.setattr(definable, "SCAN_LIMIT", 12)
+        assert len(definable_family(nm)) == 1 << 12
+
+    def test_thirteen_element_partition_gives_class_unions(self):
+        # a 13-element partition: the family is the unions of its classes
         u = Universe(tuple(f"x{i}" for i in range(13)))
         blocks = [[f"x{i}", f"x{i+1}"] for i in range(0, 12, 2)] + [["x12"]]
         covering = Covering.from_labels(u, blocks)
@@ -113,17 +145,12 @@ class TestDefinableFamily:
         assert len(family) == 1 << 7  # unions of the seven classes
         assert u.empty() in family and u.full() in family
 
-    def test_unknown_method(self, chain_covering):
-        with pytest.raises(ValueError):
-            definable_family(neighborhoods_of_covering(chain_covering), method="magic")
-
     def test_repeated_call_returns_the_same_family(self, hex_covering):
         nm = neighborhoods_of_covering(hex_covering)
         family = definable_family(nm)
         assert definable_family(nm) is family
-        # an equal map built afresh hits the same entry; "auto" resolves first
+        # an equal map built afresh hits the same entry
         assert definable_family(neighborhoods_of_covering(hex_covering)) is family
-        assert definable_family(nm, "scan") is family
 
     def test_memo_keeps_no_family_that_no_caller_holds(self):
         # a strong cache would keep stale families alive and raise peak memory
@@ -134,14 +161,6 @@ class TestDefinableFamily:
         ref = weakref.ref(definable_family(nm))
         gc.collect()
         assert ref() is None
-
-    def test_methods_are_memoised_apart_and_agree(self, mixed4_covering):
-        nm = neighborhoods_of_covering(mixed4_covering)
-        scan = definable_family(nm, "scan")
-        closure = definable_family(nm, "closure")
-        assert scan is not closure
-        assert scan == closure
-        assert definable_family(nm, "closure") is closure
 
     def test_same_cells_on_different_universes_stay_apart(self):
         # identical cell masks, different labels: each family keeps its own
@@ -162,22 +181,22 @@ class TestDefinableFamily:
         nm = successor_neighborhoods(rel)
         assert nm.cell_bits == (0b011, 0, 0)
         expected = {frozenset(), frozenset({"a", "b"})}
-        for method in ("scan", "closure"):
-            family = definable_family(nm, method)
-            assert {frozenset(m.members()) for m in family} == expected == brute_definable(nm)
-            assert definable_family(successor_neighborhoods(rel), method) is family
+        family = definable_family(nm)
+        assert {frozenset(m.members()) for m in family} == expected == brute_definable(nm)
+        assert family == scan_definable(nm)
+        assert definable_family(successor_neighborhoods(rel)) is family
 
     @given(st.integers(1, 8), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_scan_equals_closure_for_coverings(self, n, seed):
         nm = neighborhoods_of_covering(random_covering(n, 0.45, seed))
-        assert definable_family(nm, "scan") == definable_family(nm, "closure")
+        assert definable_family(nm) == scan_definable(nm)
 
     @given(st.integers(1, 6), st.integers(0, 10_000))
     @settings(max_examples=40)
     def test_scan_equals_closure_for_relations(self, n, seed):
         nm = successor_neighborhoods(random_relation(n, 0.35, seed))
-        assert definable_family(nm, "scan") == definable_family(nm, "closure")
+        assert definable_family(nm) == scan_definable(nm)
 
     def test_scan_equals_closure_exhaustive_small(self):
         # every covering on up to three elements
@@ -194,7 +213,7 @@ class TestDefinableFamily:
                     continue
                 covering = Covering(u, tuple(u.from_bits(b) for b in blocks))
                 nm = neighborhoods_of_covering(covering)
-                assert definable_family(nm, "scan") == definable_family(nm, "closure")
+                assert definable_family(nm) == scan_definable(nm)
 
     @given(st.integers(1, 6), st.integers(0, 10_000))
     @settings(max_examples=40)

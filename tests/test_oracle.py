@@ -10,6 +10,7 @@ import pytest
 from roughmatroids import (
     Covering,
     EnumerationBudget,
+    SetFamily,
     SizeBoundError,
     Universe,
     check_rough_matroid_covering,
@@ -264,3 +265,29 @@ class TestCrossCheck:
             covering = random_covering(1 + seed % 8, 0.15 + (seed % 6) / 8, seed)
             report = cross_check(covering, EnumerationBudget(seed=seed, trials=12))
             assert report.passed, (seed, report.failures)
+
+    def test_closure_is_checked_once(self, hex_covering, monkeypatch):
+        # build_lattice gates on check_closure; cross_check takes its closure
+        # verdict from that gate instead of scanning the family a second time
+        from roughmatroids import lattice
+
+        calls = []
+        original = lattice.check_closure
+        for module in (lattice, oracle):
+            monkeypatch.setattr(module, "check_closure", lambda f: calls.append(f) or original(f))
+        assert cross_check(hex_covering, EnumerationBudget(seed=3, trials=5)).passed
+        assert len(calls) == 1
+
+    def test_unclosed_family_reports_the_closure_failure(self, monkeypatch):
+        # a stand-in family missing {a, b}: the gate's failure is reported,
+        # no lattice is built, and the suite fails
+        u = Universe(("a", "b", "c"))
+        covering = Covering.from_labels(u, [["a"], ["b"], ["c"]])
+        unclosed = SetFamily.from_labels(u, [[], ["a"], ["b"]])
+        monkeypatch.setattr(oracle, "definable_family", lambda nm: unclosed)
+        report = cross_check(covering, EnumerationBudget(seed=3, trials=5))
+        assert not report.passed
+        assert report.details["closure"] == "fail"
+        assert "lattice_laws" not in report.details and "atomicity" not in report.details
+        assert report.failures[0].axiom == "union-closure"
+        assert report.failures[0].witness["missing"] == u.subset(["a", "b"])
