@@ -12,8 +12,29 @@ or a relation) run through one kernel, ``_check_rough_given``.  All six are
 the same three axioms, the empty set, heredity and exchange, applied to a
 set's image under an operator: the identity for the plain systems, the
 lower or upper approximation on the neighborhood cells for the others.
-The kernel compares images as plain membership masks and builds a
-``Subset`` only for a witness.
+
+The kernel takes the candidate as ``picked``, a mask over the indices of
+the definable family's members, and decides each axiom with whole-mask
+operations on the rows of the family's ``MemberOrder`` (``has[e]``: the
+members whose image holds element e; ``larger[s]``: those whose image has
+more than s elements; ``below[j]``, ``above[j]`` and ``over[x]`` built from
+them on first use):
+
+- the empty set is member 0, so it is bit 0 of ``picked``;
+- heredity fails at the first picked j with ``below[j] & ~picked``
+  non-zero, and the lowest such bit is the missing subset;
+- exchange for a picked I1 starts from the picked members with a larger
+  image and clears, for each picked member K above I1, the members whose
+  image covers K's image less I1's (``over[a_K & ~a_I1]``); what is left
+  are the I2 without a member strictly between I1 and I1 together with
+  I2, and the lowest bit is the witness.
+
+The members are in canonical order, which ``SetFamily`` enforces, so
+ascending bit order is the order in which a member-by-member scan meets
+them, and every witness is the one that scan finds.  A ``SetFamily`` is
+turned into a mask (or a definability failure) only at the boundary, in
+``_check_on`` and ``check_ci3_prime``; enumeration and ``cross_check``
+hand their subfamily indices to the kernel directly.
 
 The approximation-based systems restrict heredity to candidates that are
 both included in the independent set and dominated by it under the
@@ -27,7 +48,6 @@ family upward.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable
 
 from .core import (
@@ -42,7 +62,7 @@ from .core import (
     successor_neighborhoods,
     upper_approx_bits,
 )
-from .definable import SetFamily, definable_family
+from .definable import MemberOrder, SetFamily, definable_family
 from .report import AxiomFailure, CheckReport
 
 ApproxFn = Callable[[int], int]
@@ -118,65 +138,63 @@ def check_matroid(universe: Universe, family: SetFamily) -> CheckReport:
     return CheckReport("matroid", passed=not failures, failures=tuple(failures))
 
 
+def definability_report(check: str, dfam: SetFamily, family: SetFamily) -> CheckReport:
+    """The failed definability precondition, for a family that is not a
+    subfamily of ``dfam``: its first member outside the definable family."""
+    stray = next(m for m in family if m not in dfam)
+    note = "candidate family must consist of definable sets"
+    failure = AxiomFailure("definability", {"member": stray}, note=note)
+    return CheckReport(check, passed=False, failures=(failure,))
+
+
 def _check_rough_given(
     check: str,
-    dfam: SetFamily,
-    family: SetFamily,
+    order: MemberOrder,
+    picked: int,
     tags: tuple[str, str, str],
     include_exchange: bool = True,
-    approx: ApproxFn | None = None,
 ) -> CheckReport:
-    """The rough-matroid kernel over a precomputed definable family: the
-    family must consist of definable sets, then the empty set, heredity over
-    definable subsets and exchange, each on the members' images under
-    ``approx`` (the members themselves when it is absent)."""
-    inside = family.bitset()
-    if family.universe != dfam.universe or not inside <= dfam.bitset():
-        stray = next((m for m in family if m not in dfam), None)
-        if stray is not None:
-            note = "candidate family must consist of definable sets"
-            failure = AxiomFailure("definability", {"member": stray}, note=note)
-            return CheckReport(check, passed=False, failures=(failure,))
+    """The rough-matroid kernel on a candidate given as ``picked``, a mask
+    over the member indices of the definable family whose order is
+    ``order``: the empty set (member 0), heredity over definable subsets
+    and exchange, each on the members' images."""
     t1, t2, t3 = tags
-    members = family.members
-    images = [m.bits if approx is None else approx(m.bits) for m in members]
+    members, below = order.members, order.below
     failures: list[AxiomFailure] = []
-    if 0 not in inside:
-        failures.append(AxiomFailure(t1, {"missing": family.universe.empty()}))
-
-    def heredity_failure() -> AxiomFailure | None:
-        for ind, image in zip(members, images):
-            bits = ind.bits
-            for cand in dfam:
-                sub = cand.bits
-                if (
-                    sub & ~bits == 0
-                    and sub not in inside
-                    and (approx is None or approx(sub) & ~image == 0)
-                ):
-                    return AxiomFailure(t2, {"I": ind, "I'": cand})
-        return None
-
-    def exchange_failure() -> AxiomFailure | None:
-        sizes = [image.bit_count() for image in images]
-        for i1, a1, s1 in zip(members, images, sizes):
-            for i2, a2, s2 in zip(members, images, sizes):
-                if s1 < s2:
-                    hi = a1 | a2
-                    for a in images:
-                        if a1 & ~a == 0 and a != a1 and a & ~hi == 0:
-                            break
-                    else:
-                        return AxiomFailure(t3, {"I1": i1, "I2": i2})
-        return None
-
-    finders = [heredity_failure]
+    if not picked & 1:
+        failures.append(AxiomFailure(t1, {"missing": members[0]}))
+    rest = picked
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        j = low.bit_length() - 1
+        missing = below[j] & ~picked
+        if missing:
+            sub = (missing & -missing).bit_length() - 1
+            failures.append(AxiomFailure(t2, {"I": members[j], "I'": members[sub]}))
+            break
     if include_exchange:
-        finders.append(exchange_failure)
-    for finder in finders:
-        failure = finder()
-        if failure is not None:
-            failures.append(failure)
+        images, sizes, larger = order.images, order.sizes, order.larger
+        over, above = order.over, order.above
+        rest = picked
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j1 = low.bit_length() - 1
+            # the I2 candidates, less those that some member above I1 serves
+            cand = picked & larger[sizes[j1]]
+            if not cand:
+                continue
+            a1 = images[j1]
+            ups = above[j1] & picked
+            while cand and ups:
+                up = ups & -ups
+                ups ^= up
+                cand &= ~over[images[up.bit_length() - 1] & ~a1]
+            if cand:
+                j2 = (cand & -cand).bit_length() - 1
+                failures.append(AxiomFailure(t3, {"I1": members[j1], "I2": members[j2]}))
+                break
     return CheckReport(check, passed=not failures, failures=tuple(failures))
 
 
@@ -190,9 +208,17 @@ def _check_on(
     """One rough-matroid system over a neighborhood map: axioms tagged
     ``<prefix>I1``..``<prefix>I3``, images under ``approx_bits`` on the
     map's cells."""
-    approx = None if approx_bits is None else partial(approx_bits, nm.cell_bits)
+    dfam = definable_family(nm)
+    picked = dfam.index_mask(family)
+    if picked is None:
+        return definability_report(check, dfam, family)
+    if approx_bits is None:
+        order = dfam.order
+    else:
+        images = [approx_bits(nm.cell_bits, m.bits) for m in dfam.members]
+        order = MemberOrder(nm.universe.size, dfam.members, images)
     tags = (f"{prefix}I1", f"{prefix}I2", f"{prefix}I3")
-    return _check_rough_given(check, definable_family(nm), family, tags, approx=approx)
+    return _check_rough_given(check, order, picked, tags)
 
 
 def check_rough_matroid_covering(covering: Covering, family: SetFamily) -> CheckReport:

@@ -19,7 +19,12 @@ from .core import (
     Universe,
     neighborhoods_of_covering,
 )
-from .axioms import check_matroid, check_rough_matroid_covering, _check_rough_given
+from .axioms import (
+    check_matroid,
+    check_rough_matroid_covering,
+    definability_report,
+    _check_rough_given,
+)
 from .definable import SetFamily, definable_family
 from .report import AxiomFailure, CheckReport
 
@@ -208,22 +213,30 @@ def check_ci3_prime(covering: Covering, family: SetFamily) -> CheckReport:
     every input is part of the tested law suite.
     """
     dfam = definable_family(neighborhoods_of_covering(covering))
+    picked = dfam.index_mask(family)
+    if picked is None:
+        return definability_report("ci3prime", dfam, family)
+    order = dfam.order
     base = _check_rough_given(
-        "ci3prime", dfam, family, ("CI1", "CI2", "CI3"), include_exchange=False
+        "ci3prime", order, picked, ("CI1", "CI2", "CI3"), include_exchange=False
     )
-    if base.failed_axiom == "definability":
-        return base
     failures = list(base.failures)
-
-    universe = family.universe
-    masks = [m.bits for m in family]
-    for d in dfam:
-        inside = [b for b in masks if b & ~d.bits == 0]
-        maximal = [b for b in inside if all(b == o or b & ~o for o in inside)]
-        sizes = [b.bit_count() for b in maximal]
-        if len(set(sizes)) > 1:
-            other = next(b for b, k in zip(maximal, sizes) if k != sizes[0])
-            witness = {"D": d, "I1": Subset(universe, maximal[0]), "I2": Subset(universe, other)}
+    members = order.members
+    for d in range(len(members)):
+        inside = order.below[d] & picked
+        # the maximal members inside d: nothing inside d lies above them
+        maximal = []
+        rest = inside
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            if not order.above[j] & inside:
+                maximal.append(j)
+        size = order.sizes[maximal[0]] if maximal else 0
+        other = next((j for j in maximal if order.sizes[j] != size), None)
+        if other is not None:
+            witness = {"D": members[d], "I1": members[maximal[0]], "I2": members[other]}
             failures.append(AxiomFailure("CI3'", witness))
             break
     return CheckReport("ci3prime", passed=not failures, failures=tuple(failures))

@@ -53,6 +53,7 @@ class Universe:
     """
 
     labels: tuple[str, ...]
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.labels, tuple):
@@ -61,8 +62,10 @@ class Universe:
             raise ValueError("universe must be nonempty")
         if any(not isinstance(lab, str) or not lab for lab in self.labels):
             raise ValueError("universe labels must be nonempty strings")
-        if len(set(self.labels)) != len(self.labels):
+        positions = {lab: i for i, lab in enumerate(self.labels)}
+        if len(positions) != len(self.labels):
             raise ValueError("universe labels must be pairwise distinct")
+        object.__setattr__(self, "_positions", positions)
         if len(self.labels) > SCAN_LIMIT:
             warnings.warn(
                 f"universe has {len(self.labels)} elements; exhaustive "
@@ -77,11 +80,13 @@ class Universe:
     def __len__(self) -> int:
         return len(self.labels)
 
+    def __contains__(self, label: str) -> bool:
+        return isinstance(label, str) and label in self._positions
+
     def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown label {label!r}") from None
+        if label not in self:
+            raise KeyError(f"unknown label {label!r}")
+        return self._positions[label]
 
     def subset(self, labels: Iterable[str] = ()) -> Subset:
         bits = 0

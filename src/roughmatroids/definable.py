@@ -14,6 +14,7 @@ holds at most 2^n sets and is bounded at 2^SCAN_LIMIT.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator
 from weakref import WeakValueDictionary
 
@@ -40,7 +41,8 @@ class SetFamily:
 
     Canonical order is by cardinality, then by the ascending member-index
     tuple; it matches the declaration order of the universe and makes every
-    report and serialization reproducible.
+    report and serialization reproducible.  Members given in another order
+    are sorted into it.
     """
 
     universe: Universe
@@ -54,12 +56,13 @@ class SetFamily:
         object.__setattr__(self, "_bitset", frozenset(m.bits for m in self.members))
         if len(self._bitset) != len(self.members):
             raise ValueError("family members must be distinct")
+        if not _in_canonical_order(m.bits for m in self.members):
+            ordered = tuple(sorted(self.members, key=lambda s: s.canonical_key))
+            object.__setattr__(self, "members", ordered)
 
     @classmethod
     def of(cls, universe: Universe, members: Iterable[Subset]) -> SetFamily:
-        unique = {m.bits: m for m in members}
-        ordered = sorted(unique.values(), key=lambda s: s.canonical_key)
-        return cls(universe, tuple(ordered))
+        return cls(universe, tuple({m.bits: m for m in members}.values()))
 
     @classmethod
     def from_bits(cls, universe: Universe, bits: Iterable[int]) -> SetFamily:
@@ -84,6 +87,31 @@ class SetFamily:
     def bitset(self) -> frozenset[int]:
         return self._bitset
 
+    @cached_property
+    def order(self) -> MemberOrder:
+        """The inclusion order of the members, built on first use and kept
+        as long as the family."""
+        return MemberOrder(self.universe.size, self.members)
+
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {m.bits: i for i, m in enumerate(self.members)}
+
+    def index_mask(self, family: SetFamily) -> int | None:
+        """``family`` as a mask over this family's member indices (bit i
+        for ``members[i]``), or None when some member of it is not a
+        member here."""
+        if family.members and family.universe != self.universe:
+            return None
+        positions = self._positions
+        mask = 0
+        for m in family.members:
+            i = positions.get(m.bits)
+            if i is None:
+                return None
+            mask |= 1 << i
+        return mask
+
     def union_all(self) -> Subset:
         bits = 0
         for m in self.members:
@@ -97,6 +125,116 @@ class SetFamily:
         for m in self.members:
             bits &= m.bits
         return Subset(self.universe, bits)
+
+
+def _in_canonical_order(masks: Iterable[int]) -> bool:
+    """Whether the masks ascend in canonical order: by popcount, and at
+    equal popcount a before b exactly when the lowest element of a ^ b
+    lies in a."""
+    prev = None
+    for b in masks:
+        if prev is not None:
+            diff = prev ^ b
+            pk, bk = prev.bit_count(), b.bit_count()
+            if pk > bk or (pk == bk and not prev & diff & -diff):
+                return False
+        prev = b
+    return True
+
+
+# Bits of memoised rows one table of a MemberOrder may keep, however large
+# its family.
+_MEMO_BITS = 1 << 22
+
+
+def _row(flags: Iterable[bool]) -> int:
+    """The mask with bit j set for each true flag j, in time linear in the
+    number of flags."""
+    return int("".join("1" if f else "0" for f in flags)[::-1] or "0", 2)
+
+
+class _Rows(dict):
+    """Rows computed by ``compute`` on first lookup, kept while there is
+    room; a hit is a plain dict lookup."""
+
+    def __init__(self, compute: Callable[[int], int], room: int):
+        super().__init__()
+        self.compute = compute
+        self.room = room
+
+    def __missing__(self, key: int) -> int:
+        row = self.compute(key)
+        if len(self) < self.room:
+            self[key] = row
+        return row
+
+
+class MemberOrder:
+    """The inclusion order of a family's members, as masks over member
+    indices (bit j for ``members[j]``).
+
+    Each member has an image: the member itself, or ``images[j]`` when the
+    images under an operator are given.  ``has[e]`` is the row of members
+    whose image contains element e and ``larger[s]`` the row of members
+    whose image has more than s elements.  The rows of the order are
+    computed from those on first lookup, one at a time, so no |D| x |D|
+    table is built up front:
+
+    - ``over[x]``: the members whose image contains the element mask x;
+    - ``below[j]``: the members inside member j whose image lies inside
+      j's image (j itself included);
+    - ``above[j]``: the members whose image strictly contains j's image.
+
+    Each of the three keeps at most ``_MEMO_BITS`` bits of rows.
+    """
+
+    def __init__(
+        self, n: int, members: tuple[Subset, ...], images: list[int] | None = None
+    ):
+        sets = [m.bits for m in members]
+        self.members = members
+        self.images = sets if images is None else images
+        self.sizes = [a.bit_count() for a in self.images]
+        full = (1 << len(sets)) - 1
+        self.has = [_row(a >> e & 1 for a in self.images) for e in range(n)]
+        self.larger = [_row(k > s for k in self.sizes) for s in range(n + 1)]
+        # The row functions capture plain lists, never the order itself, so
+        # an order is freed with its family without waiting for the cycle
+        # collector.
+        room = _MEMO_BITS // max(len(sets), 1)
+        universe = (1 << n) - 1
+        outsides = [(self.images, [full & ~row for row in self.has])]
+        if images is not None:
+            outsides.append((sets, [full & ~_row(b >> e & 1 for b in sets) for e in range(n)]))
+        self.over = _Rows(partial(_over_row, self.has, full), room)
+        self.below = _Rows(partial(_below_row, outsides, universe, full), room)
+        self.above = _Rows(partial(_above_row, self.over, self.images, self.larger, self.sizes), room)
+
+
+def _over_row(has: list[int], full: int, x: int) -> int:
+    row = full
+    while x:
+        low = x & -x
+        row &= has[low.bit_length() - 1]
+        x ^= low
+    return row
+
+
+def _below_row(outsides: list, universe: int, full: int, j: int) -> int:
+    # For the members and for their images: clear the members holding an
+    # element outside j's, where outside[e] is the row of members without e.
+    row = full
+    for masks, outside in outsides:
+        rest = universe & ~masks[j]
+        while rest:
+            low = rest & -rest
+            row &= outside[low.bit_length() - 1]
+            rest ^= low
+    return row
+
+
+def _above_row(over: _Rows, images: list[int], larger: list[int], sizes: list[int], j: int) -> int:
+    return over[images[j]] & larger[sizes[j]]
 
 
 def definable_bits(cell_bits: tuple[int, ...], xbits: int) -> bool:

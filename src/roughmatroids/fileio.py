@@ -49,19 +49,26 @@ def _subset_from(universe: Universe, labels: Any, where: str) -> Subset:
         if lab in seen:
             raise InputFormatError(f"{where}: duplicate label {lab!r}")
         seen.add(lab)
-        if lab not in universe.labels:
+        if lab not in universe:
             raise InputFormatError(f"{where}: unknown label {lab!r}")
     return universe.subset(labels)
+
+
+def _read_json(path: str | Path, where: str) -> Any:
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{where}: invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise InputFormatError(f"{where}: JSON nested too deeply") from None
 
 
 def load_structure(path: str | Path) -> tuple[Universe, Covering | BinaryRelation]:
     """Read a structure file; returns the universe and its covering or
     relation."""
     where = str(path)
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{where}: invalid JSON ({exc})") from exc
+    payload = _read_json(path, where)
     universe = _universe_from(payload, where)
     has_cov = "covering" in payload
     has_rel = "relation" in payload
@@ -81,7 +88,7 @@ def load_structure(path: str | Path) -> tuple[Universe, Covering | BinaryRelatio
         if not (isinstance(entry, list) and len(entry) == 2):
             raise InputFormatError(f"{where}: relation entries must be pairs")
         for lab in entry:
-            if lab not in universe.labels:
+            if lab not in universe:
                 raise InputFormatError(f"{where}: unknown label {lab!r}")
         pairs.append((entry[0], entry[1]))
     return universe, BinaryRelation.from_labels(universe, pairs)
@@ -91,10 +98,7 @@ def load_family(path: str | Path, universe: Universe | None = None) -> SetFamily
     """Read a family file; when a universe is supplied the file's universe
     must match it exactly."""
     where = str(path)
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{where}: invalid JSON ({exc})") from exc
+    payload = _read_json(path, where)
     file_universe = _universe_from(payload, where)
     if universe is not None and file_universe != universe:
         raise InputFormatError(

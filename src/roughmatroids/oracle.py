@@ -66,15 +66,13 @@ def _subfamily(dfam: SetFamily, mask: int) -> SetFamily:
 
 
 def _passing_masks(covering: Covering, start: int, stop: int) -> list[int]:
-    dfam = definable_family(neighborhoods_of_covering(covering))
-    out = []
-    for mask in range(start, stop):
-        report = _check_rough_given(
-            "rough-cov", dfam, _subfamily(dfam, mask), ("CI1", "CI2", "CI3")
-        )
-        if report.passed:
-            out.append(mask)
-    return out
+    order = definable_family(neighborhoods_of_covering(covering)).order
+    tags = ("CI1", "CI2", "CI3")
+    return [
+        mask
+        for mask in range(start, stop)
+        if _check_rough_given("rough-cov", order, mask, tags).passed
+    ]
 
 
 def enumerate_rough_matroids(
@@ -88,8 +86,10 @@ def enumerate_rough_matroids(
 
     The subfamily index is the bit mask selecting members of the definable
     family in canonical order, so partial runs can resume from ``start``,
-    which must lie in ``0..2**|D|``.  With ``jobs`` greater than one the
-    index range is split into at most ``jobs`` ranges, scanned by at most
+    which must lie in ``0..2**|D|``.  The kernel checks each index as a
+    mask over the family's member order; a ``SetFamily`` is built only
+    for the indices that pass.  With ``jobs`` greater than one the index
+    range is split into at most ``jobs`` ranges, scanned by at most
     ``os.cpu_count()`` worker processes and merged back in order.
     """
     budget = budget or EnumerationBudget()
@@ -393,9 +393,8 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
     agree_ok = True
     sample_masks = _sample_family_masks(rng, len(dfam), budget.trials)
     for mask in sample_masks:
-        fam = _subfamily(dfam, mask)
-        plain = _check_rough_given("rough-cov", dfam, fam, ("CI1", "CI2", "CI3"))
-        prime = check_ci3_prime(covering, fam)
+        plain = _check_rough_given("rough-cov", dfam.order, mask, ("CI1", "CI2", "CI3"))
+        prime = check_ci3_prime(covering, _subfamily(dfam, mask))
         if plain.passed != prime.passed:
             agree_ok = False
             failures.append(

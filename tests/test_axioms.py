@@ -354,6 +354,6 @@ class TestCheckerLaws:
             family = _subfamily(dfam, fammask)
             classical = check_matroid(u, family).passed
             rough = _check_rough_given(
-                "rough-cov", dfam, family, ("CI1", "CI2", "CI3")
+                "rough-cov", dfam.order, fammask, ("CI1", "CI2", "CI3")
             ).passed
             assert classical == rough, f"verdicts split at mask {fammask}"

@@ -322,6 +322,51 @@ class TestOtherCommands:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "InputFormatError"
 
+    def test_deeply_nested_json_exit_two(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"universe": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        for argv in (
+            ["neighborhoods", str(deep)],
+            ["check", "rough-cov", fx("cov_mixed4.json"), str(deep)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "InputFormatError"
+            assert "nested too deeply" in error["message"]
+
+    def test_relation_label_of_another_type_exit_two(self, capsys, tmp_path):
+        bad = tmp_path / "rel.json"
+        bad.write_text(json.dumps({"universe": ["a"], "relation": [["a", ["a"]]]}))
+        code, _, err = run(capsys, "neighborhoods", str(bad))
+        assert code == 2
+        assert "unknown label ['a']" in json.loads(err)["error"]["message"]
+
+    def test_extension_check_reports_the_validated_criterion(self, capsys, monkeypatch):
+        # the criterion is computed once, inside the validating call
+        from roughmatroids import cli, constructions
+
+        calls = []
+        sides = constructions.extension_sides
+
+        def counted(*args):
+            calls.append(args)
+            return sides(*args)
+
+        monkeypatch.setattr(constructions, "extension_sides", counted)
+        monkeypatch.setattr(cli, "extension_sides", None)
+        for d1, d2, element, blocked in (("{e}", "{a,d,f}", "a", True), ("{}", "{e,f}", "e", False)):
+            calls.clear()
+            code, out, _ = run(
+                capsys, "extension-check", fx("cov_hex.json"),
+                "--d1", d1, "--d2", d2, "--element", element, "--no-size-check",
+            )
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["blocked"] is payload["neighborhood_criterion"] is blocked
+            assert len(calls) == 1
+
     def test_large_universe_warning_is_json_on_stderr(self, capsys, tmp_path):
         labels = [f"x{i}" for i in range(22)]
         wide = tmp_path / "wide.json"

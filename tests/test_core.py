@@ -47,6 +47,19 @@ class TestUniverse:
         with pytest.raises(KeyError):
             u.index("w")
 
+    def test_label_lookup_uses_the_position_map(self):
+        with pytest.warns(UserWarning):
+            u = Universe(tuple(f"x{i}" for i in range(5000)))
+            same = Universe(tuple(u.labels))
+        assert u.index("x4999") == 4999
+        assert "x17" in u and "y" not in u and ["x1"] not in u
+        for bad in ("y", ["x1"], 3):
+            with pytest.raises(KeyError):
+                u.index(bad)
+        # the map is not part of equality or hashing
+        assert same == u and hash(same) == hash(u)
+        assert "_positions" not in repr(Universe(("a",)))
+
     def test_large_universe_accepted_with_warning(self):
         with pytest.warns(UserWarning, match="bounded at 20"):
             u = Universe(tuple(f"x{i}" for i in range(21)))
