@@ -38,12 +38,13 @@ hand their subfamily indices to the kernel directly.
 
 The approximation-based systems restrict heredity to candidates that are
 both included in the independent set and dominated by it under the
-approximation operator.  On covering neighborhoods the two conditions
-coincide (the lower and upper operators fix every definable set), so this
-reading agrees with plain approximation dominance there; on successor
-neighborhoods of a relation, where distinct definable sets can share an
-approximation, the inclusion is what keeps heredity from collapsing the
-family upward.
+approximation operator.  The lower and upper operators are monotone for
+every neighborhood map, so inclusion already gives dominance and heredity
+runs over the definable subsets, as in the plain system.  Dominance alone
+would differ: the upper operator need not fix a definable set (on
+{{a,b},{b,c}} it takes {b} to {a,b,c}), and on successor neighborhoods of
+a relation distinct definable sets can share an approximation, so the
+inclusion is what keeps heredity from collapsing the family upward.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import repeat
 from typing import Callable, Iterable, Iterator
 from weakref import WeakValueDictionary
 
@@ -181,11 +182,14 @@ class MemberOrder:
     table is built up front:
 
     - ``over[x]``: the members whose image contains the element mask x;
-    - ``below[j]``: the members inside member j whose image lies inside
-      j's image (j itself included);
+    - ``below[j]``: the members inside member j (j itself included);
     - ``above[j]``: the members whose image strictly contains j's image.
 
-    Each of the three keeps at most ``_MEMO_BITS`` bits of rows.
+    ``below`` reads the member masks alone.  The lower and upper
+    approximations are monotone for every neighborhood map, so a member
+    inside j also has its image inside j's image, and heredity over the
+    images needs no second table.  Each of the three keeps at most
+    ``_MEMO_BITS`` bits of rows.
     """
 
     def __init__(
@@ -198,38 +202,26 @@ class MemberOrder:
         full = (1 << len(sets)) - 1
         self.has = [_row(a >> e & 1 for a in self.images) for e in range(n)]
         self.larger = [_row(k > s for k in self.sizes) for s in range(n + 1)]
+        # lacks[e]: the members without element e
+        has = self.has if images is None else [_row(b >> e & 1 for b in sets) for e in range(n)]
+        lacks = [full & ~row for row in has]
         # The row functions capture plain lists, never the order itself, so
         # an order is freed with its family without waiting for the cycle
         # collector.
         room = _MEMO_BITS // max(len(sets), 1)
         universe = (1 << n) - 1
-        outsides = [(self.images, [full & ~row for row in self.has])]
-        if images is not None:
-            outsides.append((sets, [full & ~_row(b >> e & 1 for b in sets) for e in range(n)]))
-        self.over = _Rows(partial(_over_row, self.has, full), room)
-        self.below = _Rows(partial(_below_row, outsides, universe, full), room)
+        self.over = _Rows(partial(_all_of, self.has, full), room)
+        self.below = _Rows(lambda j: _all_of(lacks, full, universe & ~sets[j]), room)
         self.above = _Rows(partial(_above_row, self.over, self.images, self.larger, self.sizes), room)
 
 
-def _over_row(has: list[int], full: int, x: int) -> int:
+def _all_of(rows: list[int], full: int, x: int) -> int:
+    """The AND of ``rows[e]`` over the elements e of the mask x."""
     row = full
     while x:
         low = x & -x
-        row &= has[low.bit_length() - 1]
+        row &= rows[low.bit_length() - 1]
         x ^= low
-    return row
-
-
-def _below_row(outsides: list, universe: int, full: int, j: int) -> int:
-    # For the members and for their images: clear the members holding an
-    # element outside j's, where outside[e] is the row of members without e.
-    row = full
-    for masks, outside in outsides:
-        rest = universe & ~masks[j]
-        while rest:
-            low = rest & -rest
-            row &= outside[low.bit_length() - 1]
-            rest ^= low
     return row
 
 
@@ -313,26 +305,24 @@ def _fixpoint_family(
 def check_closure(family: SetFamily) -> CheckReport:
     """Verify closure under pairwise union and intersection.
 
-    On failure the witness names the offending pair, the missing set, and
-    which operation produced it.
+    Scans the member masks, each pair once with i <= j, and all unions
+    before any intersection.  On failure the witness names the first
+    offending pair, the missing set, and which operation produced it.
     """
     members = family.members
-
-    def first_missing(tag, combine):
-        for i, x in enumerate(members):
-            for y in members[i:]:
-                combined = combine(x.bits, y.bits)
-                if not family.contains_bits(combined):
-                    missing = Subset(family.universe, combined)
-                    return AxiomFailure(tag, {"x": x, "y": y, "missing": missing})
-        return None
-
+    masks = [m.bits for m in members]
+    present = family.bitset()
     failures = []
     for tag, combine in (
         ("union-closure", int.__or__),
         ("intersection-closure", int.__and__),
     ):
-        failure = first_missing(tag, combine)
-        if failure is not None:
-            failures.append(failure)
+        for i, x in enumerate(masks):
+            row = masks[i:]
+            if not present.issuperset(map(combine, repeat(x), row)):
+                j = next(j for j, y in enumerate(row, i) if combine(x, y) not in present)
+                missing = Subset(family.universe, combine(x, masks[j]))
+                witness = {"x": members[i], "y": members[j], "missing": missing}
+                failures.append(AxiomFailure(tag, witness))
+                break
     return CheckReport("closure", passed=not failures, failures=tuple(failures))

@@ -35,6 +35,11 @@ def _universe_from(payload: Any, where: str) -> Universe:
     labels = payload.get("universe")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise InputFormatError(f"{where}: 'universe' must be a list of strings")
+    for lab in labels:
+        try:
+            lab.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InputFormatError(f"{where}: label {lab!r} is not valid UTF-8") from None
     try:
         return Universe(tuple(labels))
     except ValueError as exc:

@@ -2,9 +2,10 @@
 
 A family closed under union and intersection is a lattice under inclusion
 with join = union and meet = intersection.  ``build_lattice`` requires that
-closure up front (the closure witness rides along in the error), computes
-the cover edges of inclusion from unions of member masks, and designates
-the least and greatest members.  The law checkers scan every pair and
+closure up front (the closure witness rides along in the error), reads the
+cover edges off the family's inclusion order (``SetFamily.order``, the
+same ``MemberOrder`` the rough-matroid checkers use), and designates the
+least and greatest members.  The law checkers scan every pair and
 triple and report the first counterexample in canonical order; the
 atomicity check is informational and returns the atom list either way.
 """
@@ -12,6 +13,7 @@ atomicity check is informational and returns the atom list either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .core import Subset
 from .definable import SetFamily, check_closure
@@ -62,10 +64,12 @@ class LatticeDiagram:
 def build_lattice(family: SetFamily) -> LatticeDiagram:
     """Hasse diagram of inclusion over a union/intersection-closed family.
 
-    After the closure gate the covers are computed on membership masks: in a
-    union-closed family the strict supersets of a member x are the sets
-    ``x | y`` (y a member, ``x | y != x``), so its upper covers are the
-    minimal ones; no triple of members is ever scanned.
+    After the closure gate the covers are read off the family's inclusion
+    order: the upper covers of member j are the members strictly above j
+    that lie strictly above no other member strictly above j.  Members are
+    in canonical order, so a strict subset has the lower index, and taking
+    the candidates in ascending order meets only covers; each clears the
+    members above itself.
     """
     if len(family) == 0:
         raise NotALatticeError(
@@ -74,36 +78,28 @@ def build_lattice(family: SetFamily) -> LatticeDiagram:
     closure = check_closure(family)
     if not closure.passed:
         raise NotALatticeError(closure)
-    members = family.members
-    index = {m.bits: i for i, m in enumerate(members)}
+    above = family.order.above
     edges: list[tuple[int, int]] = []
-    for i, x in enumerate(index):
-        # in popcount order a union is minimal iff no kept union lies inside it
-        kept: list[int] = []
-        for up in sorted({x | y for y in index} - {x}, key=int.bit_count):
-            if all(k & ~up for k in kept):
-                kept.append(up)
-        edges.extend((i, index[up]) for up in kept)
+    for j in range(len(family)):
+        covers = rest = above[j]
+        while rest:
+            low = rest & -rest
+            k = low.bit_length() - 1
+            edges.append((j, k))
+            covers &= ~above[k]
+            rest = covers & ~(low | (low - 1))
     # The closure gate makes the total meet and join members, whatever
     # order the members are listed in.
     bottom, top = family.intersection_all(), family.union_all()
-    return LatticeDiagram(family, tuple(sorted(edges)), bottom, top)
+    return LatticeDiagram(family, tuple(edges), bottom, top)
 
 
 def _first_law_failure(members, axiom, arity, holds):
-    for combo in _index_tuples(len(members), arity):
+    for combo in product(range(len(members)), repeat=arity):
         if not holds(*(members[i].bits for i in combo)):
             names = ("a", "b", "c")[:arity]
             return AxiomFailure(axiom, dict(zip(names, (members[i] for i in combo))))
     return None
-
-
-def _index_tuples(n, arity):
-    if arity == 1:
-        return ((i,) for i in range(n))
-    if arity == 2:
-        return ((i, j) for i in range(n) for j in range(n))
-    return ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
 
 
 def check_lattice_laws(diagram: LatticeDiagram) -> CheckReport:

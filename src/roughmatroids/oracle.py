@@ -44,6 +44,8 @@ _TRIPLE_SCAN_LIMIT = 40
 _PAIR_SCAN_LIMIT = 64
 _SAMPLED_TRIPLES = 4000
 _SAMPLED_PAIRS = 2000
+# Most sampled subfamilies one cross_check may draw.
+MAX_TRIALS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,8 @@ class EnumerationBudget:
     def __post_init__(self):
         if self.max_scan_size < 1 or self.max_family_base < 1 or self.trials < 1:
             raise ValueError("budget bounds must be positive")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most {MAX_TRIALS}, got {self.trials}")
 
 
 def _subfamily(dfam: SetFamily, mask: int) -> SetFamily:
@@ -245,7 +249,7 @@ def _sample_distinct(rng: random.Random, upper: int, count: int) -> list[int]:
 
 
 def _sample_family_masks(rng: random.Random, base: int, count: int) -> list[int]:
-    if base <= 20 and (1 << base) <= count:
+    if 1 << base <= count:
         return list(range(1 << base))
     picked: set[int] = set()
     while len(picked) < count:

@@ -5,13 +5,21 @@ neighborhoods partition the universe, the three-element chain covering
 {{a,b},{b,c}}, and a mixed four-element covering with one non-singleton
 neighborhood.  The four-point relation pair differs only by one reflexive
 loop on the otherwise isolated element.
+
+Hypothesis runs derandomized and without an example database, so every
+run of the suite draws the same examples; each test keeps its own
+``max_examples``.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from roughmatroids import BinaryRelation, Covering, SetFamily, Universe
+
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 HEX_BLOCKS = [
     ["e", "f"],

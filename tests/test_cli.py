@@ -336,6 +336,45 @@ class TestOtherCommands:
             assert error["type"] == "InputFormatError"
             assert "nested too deeply" in error["message"]
 
+    def test_label_that_is_not_utf8_exit_two_and_output_kept(self, capsys, tmp_path):
+        # "\ud800" is a valid JSON string, but no UTF-8 text can carry it
+        sur = tmp_path / "sur.json"
+        sur.write_text('{"universe": ["\\ud800", "b"], "covering": [["\\ud800", "b"]]}')
+        fam = tmp_path / "fam.json"
+        fam.write_text('{"universe": ["\\ud800", "b"], "family": [[]]}')
+        existing = tmp_path / "existing.json"
+        existing.write_text("kept\n")
+        for argv in (
+            ["neighborhoods", str(sur), "--output", str(existing)],
+            ["check", "rough-cov", str(sur), str(fam), "--output", str(existing)],
+            ["check", "rough-cov", fx("cov_mixed4.json"), str(fam)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "InputFormatError"
+            assert "label '\\ud800' is not valid UTF-8" in error["message"]
+        assert existing.read_text() == "kept\n"
+        with pytest.raises(InputFormatError, match="ud800"):
+            load_structure(sur)
+
+    def test_cross_check_rejects_trials_past_the_bound(self, capsys, monkeypatch):
+        from roughmatroids import cli
+
+        def refuse(*args):
+            raise AssertionError("the law suite ran")
+
+        monkeypatch.setattr(cli, "cross_check", refuse)
+        code, out, err = run(
+            capsys, "cross-check", fx("cov_chain3.json"), "--seed", "0", "--trials", "65537"
+        )
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert "trials must be at most 65536" in error["message"]
+
     def test_relation_label_of_another_type_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "rel.json"
         bad.write_text(json.dumps({"universe": ["a"], "relation": [["a", ["a"]]]}))

@@ -23,6 +23,8 @@ from roughmatroids import (
     random_relation,
     successor_neighborhoods,
 )
+from roughmatroids.fileio import dumps, report_payload
+from roughmatroids.report import AxiomFailure, CheckReport
 from conftest import HEX_DEFINABLE, MIXED4_DEFINABLE
 
 
@@ -297,7 +299,44 @@ class TestFixpointFamilies:
         )
 
 
+def pair_scan_closure(family):
+    """The closure check as a scan over pairs of ``Subset`` members."""
+    failures = []
+    for tag, combine in (("union-closure", int.__or__), ("intersection-closure", int.__and__)):
+        members = family.members
+        for i, x in enumerate(members):
+            pending = (y for y in members[i:] if combine(x.bits, y.bits) not in family.bitset())
+            y = next(pending, None)
+            if y is not None:
+                missing = family.universe.from_bits(combine(x.bits, y.bits))
+                witness = {"x": x, "y": y, "missing": missing}
+                failures.append(AxiomFailure(tag, witness))
+                break
+    return CheckReport("closure", passed=not failures, failures=tuple(failures))
+
+
 class TestCheckClosure:
+    def test_mask_scan_reports_like_the_pair_scan(self):
+        import random
+
+        rng = random.Random(7)
+        verdicts = set()
+        for n in (1, 2, 3, 4):
+            u = Universe(tuple("abcd"[:n]))
+            for _ in range(150):
+                bits = {rng.getrandbits(n) for _ in range(rng.randint(1, 6))}
+                family = SetFamily.from_bits(u, bits)
+                report = check_closure(family)
+                expected = pair_scan_closure(family)
+                assert dumps(report_payload(report)) == dumps(report_payload(expected))
+                verdicts.add(tuple(f.axiom for f in report.failures))
+        assert verdicts == {
+            (),
+            ("union-closure",),
+            ("intersection-closure",),
+            ("union-closure", "intersection-closure"),
+        }
+
     def test_definable_family_closed(self, hex_covering):
         family = definable_family(neighborhoods_of_covering(hex_covering))
         assert check_closure(family).passed

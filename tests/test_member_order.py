@@ -22,6 +22,7 @@ from functools import partial
 import pytest
 
 from roughmatroids import (
+    BinaryRelation,
     Covering,
     SetFamily,
     Subset,
@@ -49,6 +50,7 @@ from roughmatroids.oracle import _subfamily
 from roughmatroids.report import AxiomFailure, CheckReport
 
 from conftest import HEX_BLOCKS
+from test_acceptance import all_neighborhood_signatures
 
 TAGS = ("CI1", "CI2", "CI3")
 
@@ -320,6 +322,62 @@ class TestOrder:
             tracemalloc.stop()
         assert report.passed and lower.passed
         assert peak < 32 << 20
+
+
+def small_neighborhood_maps():
+    """Every neighborhood map with at most three elements, of coverings and
+    of relations, then seeded ones with four to six."""
+    for n in (1, 2, 3):
+        for covering in all_neighborhood_signatures(n):
+            yield neighborhoods_of_covering(covering)
+        u = Universe(tuple("abc"[:n]))
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        for mask in range(1 << len(cells)):
+            pairs = frozenset(p for k, p in enumerate(cells) if mask >> k & 1)
+            yield successor_neighborhoods(BinaryRelation(u, pairs))
+    for n in (4, 5, 6):
+        for seed in range(8):
+            yield neighborhoods_of_covering(random_covering(n, 0.4, seed))
+            yield successor_neighborhoods(random_relation(n, 0.35, seed))
+
+
+class TestMonotonicity:
+    """``MemberOrder.below`` reads the member masks alone, which is sound
+    because both operators are monotone on every neighborhood map."""
+
+    def test_both_operators_are_monotone_on_the_definable_members(self):
+        maps = 0
+        # maps on which the operator moves some definable member, so the
+        # image condition is not trivially the member condition
+        unfixed = {lower_approx_bits: 0, upper_approx_bits: 0}
+        for nm in small_neighborhood_maps():
+            maps += 1
+            dfam = definable_family(nm)
+            masks = [m.bits for m in dfam]
+            for approx in unfixed:
+                images = [approx(nm.cell_bits, b) for b in masks]
+                unfixed[approx] += images != masks
+                for x, ax in zip(masks, images):
+                    for y, ay in zip(masks, images):
+                        assert x & ~y or not ax & ~ay
+                # below[j] is the row of members inside j whose image also
+                # lies inside j's image: the image condition adds nothing
+                order = definable.MemberOrder(nm.universe.size, dfam.members, images)
+                for j, (y, ay) in enumerate(zip(masks, images)):
+                    row = sum(
+                        1 << i for i, x in enumerate(masks) if not x & ~y and not images[i] & ~ay
+                    )
+                    assert order.below[j] == row
+        assert maps == 1 + 4 + 29 + 2 + 16 + 512 + 48
+        assert min(unfixed.values()) > 200
+
+    def test_the_upper_operator_does_not_fix_definable_sets(self):
+        u = Universe(tuple("abc"))
+        nm = neighborhoods_of_covering(Covering.from_labels(u, [["a", "b"], ["b", "c"]]))
+        b = u.subset(["b"])
+        assert b in definable_family(nm)
+        assert upper_approx_bits(nm.cell_bits, b.bits) == u.full().bits
+        assert lower_approx_bits(nm.cell_bits, b.bits) == b.bits
 
 
 class TestEnumerationCalls:

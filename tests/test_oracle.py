@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -39,6 +40,22 @@ class TestEnumerationBudget:
             EnumerationBudget(max_scan_size=0)
         with pytest.raises(ValueError):
             EnumerationBudget(trials=0)
+
+    def test_trials_are_bounded(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(oracle, "_sample_family_masks", refuse)
+        assert EnumerationBudget().trials == 100
+        assert EnumerationBudget(trials=oracle.MAX_TRIALS).trials == 1 << 16
+        with pytest.raises(ValueError, match="at most 65536"):
+            EnumerationBudget(trials=oracle.MAX_TRIALS + 1)
+
+    def test_a_sample_at_least_as_large_as_the_family_takes_every_mask(self):
+        rng = random.Random(0)
+        assert oracle._sample_family_masks(rng, 3, 8) == list(range(8))
+        assert oracle._sample_family_masks(rng, 3, 100) == list(range(8))
+        assert len(oracle._sample_family_masks(rng, 40, 100)) == 100
 
 
 class TestEnumerateRoughMatroids:
