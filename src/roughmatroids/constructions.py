@@ -211,6 +211,13 @@ def check_ci3_prime(covering: Covering, family: SetFamily) -> CheckReport:
     plain rough-matroid checker does, then the equal-cardinality condition
     in place of the exchange axiom.  The two checkers' verdicts agreeing on
     every input is part of the tested law suite.
+
+    The maximal members inside a definable set d are found from the top:
+    in canonical order a strict superset has the higher index, so the
+    highest picked member inside d is maximal, and clearing its own
+    ``below`` row (itself included) leaves only members not inside it, whose
+    highest is maximal again.  The walk visits the maximal members alone,
+    highest first; the witness is read off them lowest first.
     """
     dfam = definable_family(neighborhoods_of_covering(covering))
     picked = dfam.index_mask(family)
@@ -222,17 +229,15 @@ def check_ci3_prime(covering: Covering, family: SetFamily) -> CheckReport:
     )
     failures = list(base.failures)
     members = order.members
+    below = order.below
     for d in range(len(members)):
-        inside = order.below[d] & picked
-        # the maximal members inside d: nothing inside d lies above them
         maximal = []
-        rest = inside
+        rest = below[d] & picked
         while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
-            if not order.above[j] & inside:
-                maximal.append(j)
+            j = rest.bit_length() - 1
+            maximal.append(j)
+            rest &= ~below[j]
+        maximal.reverse()
         size = order.sizes[maximal[0]] if maximal else 0
         other = next((j for j in maximal if order.sizes[j] != size), None)
         if other is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 # Hard bound for full powerset scans.  Larger universes are accepted by the
@@ -241,6 +242,26 @@ class Covering:
     def from_labels(cls, universe: Universe, blocks: Iterable[Iterable[str]]) -> Covering:
         return cls(universe, tuple(universe.subset(b) for b in blocks))
 
+    @cached_property
+    def neighborhoods(self) -> NeighborhoodMap:
+        """Neighborhood of x: the intersection of all blocks containing x.
+
+        Each element lies in at least one block, so the intersection is over
+        a nonempty family and always contains the element itself.  Built on
+        first use and kept with the covering (a pickled covering carries
+        it), so the checkers that start from a covering share one map.
+        """
+        u = self.universe
+        full = (1 << u.size) - 1
+        cells = []
+        for i in range(u.size):
+            bits = full
+            for blk in self.blocks:
+                if (blk.bits >> i) & 1:
+                    bits &= blk.bits
+            cells.append(Subset(u, bits))
+        return NeighborhoodMap(u, tuple(cells))
+
     def is_partition(self) -> bool:
         total = 0
         for blk in self.blocks:
@@ -308,21 +329,8 @@ class NeighborhoodMap:
 
 
 def neighborhoods_of_covering(covering: Covering) -> NeighborhoodMap:
-    """Neighborhood of x: the intersection of all blocks containing x.
-
-    Each element lies in at least one block, so the intersection is over a
-    nonempty family and always contains the element itself.
-    """
-    u = covering.universe
-    full = (1 << u.size) - 1
-    cells = []
-    for i in range(u.size):
-        bits = full
-        for blk in covering.blocks:
-            if (blk.bits >> i) & 1:
-                bits &= blk.bits
-        cells.append(Subset(u, bits))
-    return NeighborhoodMap(u, tuple(cells))
+    """The covering's neighborhood map (``Covering.neighborhoods``)."""
+    return covering.neighborhoods
 
 
 def successor_neighborhoods(relation: BinaryRelation) -> NeighborhoodMap:

@@ -51,8 +51,9 @@ class SetFamily:
     _bitset: frozenset[int] = field(init=False, repr=False, compare=False, default=frozenset())
 
     def __post_init__(self):
+        u = self.universe
         for m in self.members:
-            if m.universe != self.universe:
+            if m.universe is not u and m.universe != u:
                 raise UniverseMismatchError("family member on a different universe")
         object.__setattr__(self, "_bitset", frozenset(m.bits for m in self.members))
         if len(self._bitset) != len(self.members):
@@ -102,7 +103,8 @@ class SetFamily:
         """``family`` as a mask over this family's member indices (bit i
         for ``members[i]``), or None when some member of it is not a
         member here."""
-        if family.members and family.universe != self.universe:
+        u = self.universe
+        if family.members and family.universe is not u and family.universe != u:
             return None
         positions = self._positions
         mask = 0

@@ -13,7 +13,8 @@ atomicity check is informational and returns the atom list either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, count, product, starmap
+from operator import not_
 
 from .core import Subset
 from .definable import SetFamily, check_closure
@@ -95,11 +96,23 @@ def build_lattice(family: SetFamily) -> LatticeDiagram:
 
 
 def _first_law_failure(members, axiom, arity, holds):
-    for combo in product(range(len(members)), repeat=arity):
-        if not holds(*(members[i].bits for i in combo)):
-            names = ("a", "b", "c")[:arity]
-            return AxiomFailure(axiom, dict(zip(names, (members[i] for i in combo))))
-    return None
+    """The first combination of members, in ``product`` order, on which
+    ``holds`` fails, as an AxiomFailure; None when it holds on all.
+
+    ``holds`` runs on the member masks; the position of the first failure
+    in the verdict stream is decoded back into member indices, most
+    significant first, so no index tuple is built per combination.
+    """
+    verdicts = starmap(holds, product([m.bits for m in members], repeat=arity))
+    k = next(compress(count(), map(not_, verdicts)), None)
+    if k is None:
+        return None
+    combo = []
+    for _ in range(arity):
+        k, i = divmod(k, len(members))
+        combo.append(members[i])
+    names = ("a", "b", "c")[:arity]
+    return AxiomFailure(axiom, dict(zip(names, reversed(combo))))
 
 
 def check_lattice_laws(diagram: LatticeDiagram) -> CheckReport:

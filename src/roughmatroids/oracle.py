@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
+import struct
 from dataclasses import dataclass
+from itertools import compress
 from string import ascii_lowercase
 
 from .core import (
+    SCAN_LIMIT,
     BinaryRelation,
     Covering,
     SizeBoundError,
@@ -50,7 +52,13 @@ MAX_TRIALS = 1 << 16
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Bounds and reproducibility knobs for the exhaustive operations."""
+    """Bounds and reproducibility knobs for the exhaustive operations.
+
+    ``max_scan_size`` (the most elements ``cross_check`` scans every subset
+    of) and ``max_family_base`` (the most definable sets ``enumerate``
+    scans every subfamily of) are both capped at ``core.SCAN_LIMIT``, so
+    no budget admits a scan of more than 2^SCAN_LIMIT indices.
+    """
 
     max_scan_size: int = 12
     max_family_base: int = 18
@@ -60,12 +68,18 @@ class EnumerationBudget:
     def __post_init__(self):
         if self.max_scan_size < 1 or self.max_family_base < 1 or self.trials < 1:
             raise ValueError("budget bounds must be positive")
+        for name in ("max_scan_size", "max_family_base"):
+            if getattr(self, name) > SCAN_LIMIT:
+                raise ValueError(
+                    f"{name} must be at most {SCAN_LIMIT}, got {getattr(self, name)}"
+                )
         if self.trials > MAX_TRIALS:
             raise ValueError(f"trials must be at most {MAX_TRIALS}, got {self.trials}")
 
 
 def _subfamily(dfam: SetFamily, mask: int) -> SetFamily:
-    members = tuple(m for i, m in enumerate(dfam.members) if (mask >> i) & 1)
+    # the binary digits of mask, lowest first, select the members
+    members = tuple(compress(dfam.members, map(int, f"{mask:b}"[::-1])))
     return SetFamily(dfam.universe, members)
 
 
@@ -115,6 +129,9 @@ def enumerate_rough_matroids(
         step = (total - start + jobs - 1) // jobs
         ranges = [(a, min(a + step, total)) for a in range(start, total, step)]
         workers = min(jobs, len(ranges), os.cpu_count() or 1)
+        # imported here, so that a run without workers never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(_passing_masks_star, [(covering, a, b) for a, b in ranges])
         masks = [m for chunk in chunks for m in chunk]
@@ -248,6 +265,30 @@ def _sample_distinct(rng: random.Random, upper: int, count: int) -> list[int]:
     return sorted(picked)
 
 
+def _choice_indices(rng: random.Random, n: int, count: int) -> list[int]:
+    """The indices that ``count`` calls of ``rng.choice`` on a sequence of
+    length n pick, drawn in batches and leaving rng in the same state.
+
+    ``choice`` makes attempts of one 32-bit word each: it keeps the top
+    ``n.bit_length()`` bits and rejects values of n or more.
+    ``getrandbits(32 * m)`` returns the next m words with the first in the
+    low bits, so a batch of as many words as indices are still needed
+    never draws a word that ``choice`` would not have drawn.  n must be
+    below 2^32.
+    """
+    shift = 32 - n.bit_length()
+    out: list[int] = []
+    while len(out) < count:
+        need = count - len(out)
+        raw = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        out += [r for w in struct.unpack(f"<{need}I", raw) if (r := w >> shift) < n]
+    return out
+
+
+def _triple_laws_hold(a: int, b: int, c: int) -> bool:
+    return ((a | b) | c) == (a | (b | c)) and (a | (a & b)) == a
+
+
 def _sample_family_masks(rng: random.Random, base: int, count: int) -> list[int]:
     if 1 << base <= count:
         return list(range(1 << base))
@@ -338,14 +379,14 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
                 failures.extend(laws.failures)
             details["lattice_laws"] = "pass (exhaustive)" if laws_ok else "fail"
         else:
-            laws_ok = True
-            mem = dfam.members
-            for _ in range(_SAMPLED_TRIPLES):
-                a, b, c = (rng.choice(mem).bits for _ in range(3))
-                if ((a | b) | c) != (a | (b | c)) or (a | (a & b)) != a:
-                    laws_ok = False
-                    failures.append(AxiomFailure("lattice-laws", {}, note="sampled triple failed"))
-                    break
+            # The indices rng.choice(dfam.members) picks one at a time.  All
+            # triples are drawn up front: no triple of ints fails these laws,
+            # so a check that stopped drawing at a failure draws them all too.
+            masks = [m.bits for m in dfam.members]
+            picks = [masks[i] for i in _choice_indices(rng, len(masks), 3 * _SAMPLED_TRIPLES)]
+            laws_ok = all(map(_triple_laws_hold, picks[0::3], picks[1::3], picks[2::3]))
+            if not laws_ok:
+                failures.append(AxiomFailure("lattice-laws", {}, note="sampled triple failed"))
             details["lattice_laws"] = "pass (sampled)" if laws_ok else "fail"
         atom = check_atomicity(diagram)
         details["atomicity"] = "holds" if atom.passed else "fails"

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -374,6 +377,50 @@ class TestOtherCommands:
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError"
         assert "trials must be at most 65536" in error["message"]
+
+    def test_enumerate_rejects_a_family_base_past_the_scan_limit(self, capsys, tmp_path, monkeypatch):
+        # |D| = 40 lies under a base of 64, which would admit 2^40 indices
+        from roughmatroids import oracle, random_covering
+
+        covering = random_covering(8, 0.3, 28)
+        assert len(oracle.definable_family(covering.neighborhoods)) == 40
+        path = tmp_path / "cov40.json"
+        path.write_text(json.dumps({
+            "universe": list(covering.universe.labels),
+            "covering": [list(b.members()) for b in covering.blocks],
+        }))
+
+        def refuse(*args):
+            raise AssertionError("the subfamily scan was reached")
+
+        monkeypatch.setattr(oracle, "_passing_masks", refuse)
+        for base in ("21", "64"):
+            code, out, err = run(capsys, "enumerate", str(path), "--max-family-base", base)
+            assert code == 2
+            assert out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "ValueError"
+            assert f"max_family_base must be at most 20, got {base}" == error["message"]
+        # at the bound the budget is accepted, and the family size gate refuses |D| = 40
+        code, out, err = run(capsys, "enumerate", str(path), "--max-family-base", "20")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "SizeBoundError"
+
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        probe = (
+            "import sys, roughmatroids.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_relation_label_of_another_type_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "rel.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -40,6 +41,14 @@ class TestEnumerationBudget:
             EnumerationBudget(max_scan_size=0)
         with pytest.raises(ValueError):
             EnumerationBudget(trials=0)
+
+    def test_scan_bounds_stop_at_the_scan_limit(self):
+        limit = oracle.SCAN_LIMIT
+        budget = EnumerationBudget(max_scan_size=limit, max_family_base=limit)
+        assert (budget.max_scan_size, budget.max_family_base) == (20, 20)
+        for name in ("max_scan_size", "max_family_base"):
+            with pytest.raises(ValueError, match=f"{name} must be at most 20, got 21"):
+                EnumerationBudget(**{name: limit + 1})
 
     def test_trials_are_bounded(self, monkeypatch):
         def refuse(*args):
@@ -131,7 +140,7 @@ class TestEnumerateRoughMatroids:
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", WatchedPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", WatchedPool)
         covering = ten_set_covering()
         seq = enumerate_rough_matroids(covering, jobs=1)
         par = enumerate_rough_matroids(covering, jobs=2)
@@ -170,7 +179,7 @@ class TestEnumerateRoughMatroids:
 
         covering = ten_set_covering()
         serial = enumerate_rough_matroids(covering)
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         for cpus, jobs, workers in ((2, 8, 2), (64, 3, 3), (None, 4, 1), (64, 5000, 64)):
             monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
             assert enumerate_rough_matroids(covering, jobs=jobs) == serial
