@@ -218,6 +218,11 @@ def check_ci3_prime(covering: Covering, family: SetFamily) -> CheckReport:
     ``below`` row (itself included) leaves only members not inside it, whose
     highest is maximal again.  The walk visits the maximal members alone,
     highest first; the witness is read off them lowest first.
+
+    Two kinds of d cannot fail and are skipped before the walk: a d that
+    is itself picked, which is its own only maximal member, and a d whose
+    picked members all have the size of the smallest of them (none of
+    them is larger), since members of one size are all maximal.
     """
     dfam = definable_family(neighborhoods_of_covering(covering))
     picked = dfam.index_mask(family)
@@ -229,17 +234,21 @@ def check_ci3_prime(covering: Covering, family: SetFamily) -> CheckReport:
     )
     failures = list(base.failures)
     members = order.members
-    below = order.below
+    below, larger, sizes = order.below, order.larger, order.sizes
     for d in range(len(members)):
-        maximal = []
         rest = below[d] & picked
+        if not rest or picked >> d & 1:
+            continue
+        if not rest & larger[sizes[(rest & -rest).bit_length() - 1]]:
+            continue
+        maximal = []
         while rest:
             j = rest.bit_length() - 1
             maximal.append(j)
             rest &= ~below[j]
         maximal.reverse()
-        size = order.sizes[maximal[0]] if maximal else 0
-        other = next((j for j in maximal if order.sizes[j] != size), None)
+        size = sizes[maximal[0]]
+        other = next((j for j in maximal if sizes[j] != size), None)
         if other is not None:
             witness = {"D": members[d], "I1": members[maximal[0]], "I2": members[other]}
             failures.append(AxiomFailure("CI3'", witness))

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import compress, repeat
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 from weakref import WeakValueDictionary
 
@@ -34,6 +35,8 @@ from .report import AxiomFailure, CheckReport
 
 # Built families, each kept only while some caller still holds it.
 _FAMILIES: WeakValueDictionary = WeakValueDictionary()
+# The digits 0 and 1 as the bytes 0 and 1.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,19 @@ class SetFamily:
                 return None
             mask |= 1 << i
         return mask
+
+    def subfamily(self, mask: int) -> SetFamily:
+        """The members that ``mask`` selects (bit i for ``members[i]``),
+        the inverse of ``index_mask``.  A selection of this family's
+        members is distinct, on its universe and in canonical order
+        already, so it is not checked again."""
+        flags = f"{mask:b}"[::-1].encode().translate(_DIGIT_FLAGS)
+        members = tuple(compress(self.members, flags))
+        family = object.__new__(SetFamily)
+        object.__setattr__(family, "universe", self.universe)
+        object.__setattr__(family, "members", members)
+        object.__setattr__(family, "_bitset", frozenset(map(attrgetter("bits"), members)))
+        return family
 
     def union_all(self) -> Subset:
         bits = 0
@@ -307,18 +323,40 @@ def _fixpoint_family(
 def check_closure(family: SetFamily) -> CheckReport:
     """Verify closure under pairwise union and intersection.
 
-    Scans the member masks, each pair once with i <= j, and all unions
-    before any intersection.  On failure the witness names the first
-    offending pair, the missing set, and which operation produced it.
+    The verdict is read off the irreducible members.  A member g is
+    join-irreducible when some element of g lies in no member strictly
+    inside g, that is, when g is not the union of the members strictly
+    inside it.  Lemma: the family is closed under union iff x | g is a
+    member for every member x and every join-irreducible member g.  Proof
+    sketch, by induction on |y|: a reducible y (the empty set included) is
+    the union y1 | ... | yk of members strictly inside it, so x | y is
+    ((x | y1) | ...) | yk, and each step joins a member to a smaller
+    member.  Dually, m is meet-irreducible when some element outside m
+    lies in every member strictly above m, and the family is closed under
+    intersection iff x & m is a member for every member x and every
+    meet-irreducible member m (by induction on the size of the
+    complement, the universe being the empty intersection).  In a lattice
+    these are the usual join- and meet-irreducibles, and every element is
+    a join of the former and a meet of the latter.  The irreducibles are
+    read off the rows of ``family.order``.
+
+    Only a family that fails runs the pair scan that names the witness:
+    each pair once with i <= j, and all unions before any intersection.
+    On failure the witness names the first offending pair, the missing
+    set, and which operation produced it.
     """
     members = family.members
     masks = [m.bits for m in members]
     present = family.bitset()
+    order = family.order
     failures = []
-    for tag, combine in (
-        ("union-closure", int.__or__),
-        ("intersection-closure", int.__and__),
+    for tag, combine, irreducible in (
+        ("union-closure", int.__or__, _join_irreducible),
+        ("intersection-closure", int.__and__, _meet_irreducible),
     ):
+        generators = [g for j, g in enumerate(masks) if irreducible(order, g, j)]
+        if all(present.issuperset(map(combine, masks, repeat(g))) for g in generators):
+            continue
         for i, x in enumerate(masks):
             row = masks[i:]
             if not present.issuperset(map(combine, repeat(x), row)):
@@ -328,3 +366,17 @@ def check_closure(family: SetFamily) -> CheckReport:
                 failures.append(AxiomFailure(tag, witness))
                 break
     return CheckReport("closure", passed=not failures, failures=tuple(failures))
+
+
+def _join_irreducible(order: MemberOrder, g: int, j: int) -> bool:
+    """Whether some element of member j (mask g) is in no member inside it."""
+    inside = order.below[j] & ~(1 << j)
+    has = order.has
+    return any(not has[e] & inside for e in range(len(has)) if g >> e & 1)
+
+
+def _meet_irreducible(order: MemberOrder, m: int, j: int) -> bool:
+    """Whether some element outside member j (mask m) is in every member above it."""
+    above = order.above[j]
+    has = order.has
+    return any(not above & ~has[e] for e in range(len(has)) if not m >> e & 1)

@@ -9,12 +9,16 @@ Family files carry a universe plus a list of subsets:
 
     {"universe": ["a", "b"], "family": [[], ["a"]]}
 
-Unknown labels are rejected with the offending label named.  All output is
-canonically ordered and byte-identical across runs for identical input.
+Unknown labels are rejected with the offending label named.  Input is
+bounded: a file is read up to ``MAX_INPUT_BYTES`` bytes and a universe
+holds at most ``MAX_LABELS`` labels; past either bound loading fails with
+``InputFormatError``.  All output is canonically ordered and
+byte-identical across runs for identical input.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 from typing import Any
@@ -29,12 +33,21 @@ class InputFormatError(ValueError):
     """Malformed structure, family, or set-literal input."""
 
 
+# The largest structure or family file read, in bytes: room for every
+# definable family over 15 one-letter labels as ``definable`` writes it.
+MAX_INPUT_BYTES = 1 << 22
+# The most labels a universe may hold.
+MAX_LABELS = 1 << 10
+
+
 def _universe_from(payload: Any, where: str) -> Universe:
     if not isinstance(payload, dict):
         raise InputFormatError(f"{where}: expected a JSON object")
     labels = payload.get("universe")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise InputFormatError(f"{where}: 'universe' must be a list of strings")
+    if len(labels) > MAX_LABELS:
+        raise InputFormatError(f"{where}: {len(labels)} labels exceed the bound of {MAX_LABELS}")
     for lab in labels:
         try:
             lab.encode("utf-8")
@@ -60,7 +73,12 @@ def _subset_from(universe: Universe, labels: Any, where: str) -> Subset:
 
 
 def _read_json(path: str | Path, where: str) -> Any:
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, "rb") as f:
+        data = f.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise InputFormatError(f"{where}: file exceeds the bound of {MAX_INPUT_BYTES} bytes")
+    # decoded as Path.read_text decodes it, universal newlines included
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -14,8 +14,10 @@ import os
 import random
 import struct
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
+from operator import eq
 from string import ascii_lowercase
+from typing import Iterable, Iterator
 
 from .core import (
     SCAN_LIMIT,
@@ -34,8 +36,6 @@ from .definable import (
     SetFamily,
     check_closure,  # unused here; the benchmark tracer wraps it by this name
     definable_family,
-    fixpoint_family_lower,
-    fixpoint_family_upper,
 )
 from .lattice import NotALatticeError, build_lattice, check_atomicity, check_lattice_laws
 from .report import AxiomFailure, CheckReport
@@ -78,9 +78,7 @@ class EnumerationBudget:
 
 
 def _subfamily(dfam: SetFamily, mask: int) -> SetFamily:
-    # the binary digits of mask, lowest first, select the members
-    members = tuple(compress(dfam.members, map(int, f"{mask:b}"[::-1])))
-    return SetFamily(dfam.universe, members)
+    return dfam.subfamily(mask)
 
 
 def _passing_masks(covering: Covering, start: int, stop: int) -> list[int]:
@@ -261,7 +259,13 @@ def _sample_distinct(rng: random.Random, upper: int, count: int) -> list[int]:
         return list(range(upper))
     picked: set[int] = set()
     while len(picked) < count:
-        picked.add(rng.randrange(upper))
+        if upper >> 32:
+            picked.add(rng.randrange(upper))
+        else:
+            # randrange draws as choice does, and a draw adds at most one
+            # index, so a batch of as many draws as indices are missing
+            # never draws past where one draw at a time would stop
+            picked.update(_choice_indices(rng, upper, count - len(picked)))
     return sorted(picked)
 
 
@@ -289,6 +293,51 @@ def _triple_laws_hold(a: int, b: int, c: int) -> bool:
     return ((a | b) | c) == (a | (b | c)) and (a | (a & b)) == a
 
 
+def _extension_scan(
+    family: SetFamily, cells: tuple[int, ...], pairs: Iterable[tuple[int, int]]
+) -> tuple[bool, AxiomFailure | None]:
+    """The one-point-extension criterion on member pairs (i, j): for each
+    element e of the gap D2 - D1 (D1 member i, D2 member j), D1 plus e
+    leaves the family exactly when e's neighborhood meets the gap less e.
+
+    The elements that can be added to each member, and the predicted ones
+    of each distinct gap, are masks computed once, so a pair's mismatches
+    are one XOR; the lowest is the first a walk over the gap meets.
+    Returns whether all pairs agreed, and the failure at the first pair
+    with |D1| < |D2| that did not, where the scan stops.
+    """
+    members = family.members
+    masks = [m.bits for m in members]
+    present = family.bitset()
+    full = (1 << len(cells)) - 1
+    agreed = True
+    addable: dict[int, int] = {}
+    predicted: dict[int, int] = {}
+    for i, j in pairs:
+        gap = masks[j] & ~masks[i]
+        if i not in addable:
+            x = masks[i]
+            addable[i] = sum(b for b in _bits(full & ~x) if x | b in present)
+        if gap not in predicted:
+            predicted[gap] = sum(b for b in _bits(gap) if gap & ~b & cells[b.bit_length() - 1])
+        wrong = (gap & ~addable[i]) ^ predicted[gap]
+        if wrong:
+            agreed = False
+            if len(members[i]) < len(members[j]):
+                d = family.universe.labels[(wrong & -wrong).bit_length() - 1]
+                witness = {"D1": members[i], "D2": members[j], "d": d}
+                return agreed, AxiomFailure("extension-biconditional", witness)
+    return agreed, None
+
+
+def _bits(x: int) -> Iterator[int]:
+    """The one-bit masks of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low
+        x ^= low
+
+
 def _sample_family_masks(rng: random.Random, base: int, count: int) -> list[int]:
     if 1 << base <= count:
         return list(range(1 << base))
@@ -308,6 +357,11 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
     sampled subfamilies.  Atomicity of the definable-set lattice is
     reported informationally and never fails the suite.  Scans above the
     internal size gates fall back to sampling seeded from the budget.
+
+    Both approximations of every subset are computed once, into one table
+    that the duality scan and the two fixpoint sets read.  The extension
+    criterion compares, per pair, the gap elements that cannot be added to
+    D1 with those the neighborhoods predict, as masks (``_extension_scan``).
     """
     budget = budget or EnumerationBudget()
     n = covering.universe.size
@@ -323,12 +377,14 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
     failures: list[AxiomFailure] = []
     details: dict = {"seed": budget.seed, "universe_size": n}
 
-    duality_ok = True
-    for xbits in range(1 << n):
-        if lower_approx_bits(cells, xbits ^ full) != upper_approx_bits(cells, xbits) ^ full:
-            duality_ok = False
-            failures.append(AxiomFailure("duality", {"X": Subset(covering.universe, xbits)}))
-            break
+    # One table of both approximations serves duality and the fixpoints.
+    subsets = range(1 << n)
+    lows = [lower_approx_bits(cells, x) for x in subsets]
+    ups = [upper_approx_bits(cells, x) for x in subsets]
+    odd = next((x for x in subsets if lows[x ^ full] != ups[x] ^ full), None)
+    duality_ok = odd is None
+    if not duality_ok:
+        failures.append(AxiomFailure("duality", {"X": Subset(covering.universe, odd)}))
     details["duality"] = "pass" if duality_ok else "fail"
 
     dfam = definable_family(nm)
@@ -342,8 +398,8 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
     details["closure"] = "pass" if diagram is not None else "fail"
 
     dbits = dfam.bitset()
-    fix_lower = fixpoint_family_lower(nm).bitset()
-    fix_upper = fixpoint_family_upper(nm).bitset()
+    fix_lower = frozenset(compress(subsets, map(eq, lows, subsets)))
+    fix_upper = frozenset(compress(subsets, map(eq, ups, subsets)))
     fix_ok = fix_lower == dbits
     if not fix_ok:
         odd = min(fix_lower ^ dbits)
@@ -394,42 +450,18 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
         if not atom.passed:
             details["atomicity_witness"] = atom.witness["member"].notation()
 
-    ext_ok = True
-    gap_respected = True
-    mem = dfam.members
-    npairs = len(mem) * len(mem)
-    if len(mem) <= _PAIR_SCAN_LIMIT:
-        pairs = ((d1, d2) for d1 in mem for d2 in mem if d1.bits != d2.bits)
+    size = len(dfam)
+    if size <= _PAIR_SCAN_LIMIT:
+        pairs = ((i, j) for i in range(size) for j in range(size) if i != j)
         details["extension_scan"] = "exhaustive"
     else:
-        sampled = _sample_distinct(rng, npairs, _SAMPLED_PAIRS)
-        pairs = (
-            (mem[k // len(mem)], mem[k % len(mem)])
-            for k in sampled
-            if mem[k // len(mem)].bits != mem[k % len(mem)].bits
-        )
+        sampled = _sample_distinct(rng, size * size, _SAMPLED_PAIRS)
+        pairs = ((i, j) for i, j in map(divmod, sampled, repeat(size)) if i != j)
         details["extension_scan"] = "sampled"
-    for d1, d2 in pairs:
-        gap_bits = d2.bits & ~d1.bits
-        rest = gap_bits
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            blocked = not dfam.contains_bits(d1.bits | (1 << i))
-            predicted = gap_bits & ~(1 << i) & cells[i] != 0
-            if blocked != predicted:
-                gap_respected = False
-                if len(d1) < len(d2):
-                    ext_ok = False
-                    failures.append(
-                        AxiomFailure(
-                            "extension-biconditional",
-                            {"D1": d1, "D2": d2, "d": covering.universe.labels[i]},
-                        )
-                    )
-                break
-        if not ext_ok:
-            break
+    gap_respected, ext_failure = _extension_scan(dfam, cells, pairs)
+    ext_ok = ext_failure is None
+    if not ext_ok:
+        failures.append(ext_failure)
     details["extension_biconditional"] = "pass" if ext_ok else "fail"
     details["extension_biconditional_without_size_gap"] = (
         "holds" if gap_respected else "fails"

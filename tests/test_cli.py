@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from roughmatroids import fileio
 from roughmatroids.cli import main
 from roughmatroids.fileio import (
     InputFormatError,
@@ -499,3 +504,174 @@ class TestOtherCommands:
         _, a, _ = run(capsys, "cross-check", fx("cov_hex.json"), "--seed", "9")
         _, b, _ = run(capsys, "cross-check", fx("cov_hex.json"), "--seed", "9")
         assert a == b
+
+
+class TestInputBounds:
+    """Structure and family files are read up to a byte bound, and a
+    universe holds a bounded number of labels.  The bounds are patched low
+    here, so no test allocates anything near the real ones."""
+
+    def test_a_file_past_the_byte_bound_exit_two(self, capsys, monkeypatch):
+        structure, family = fx("cov_mixed4.json"), fx("fam_mixed4_pass.json")
+        size = os.path.getsize(structure)
+        monkeypatch.setattr(fileio, "MAX_INPUT_BYTES", size)
+        assert run(capsys, "neighborhoods", structure)[0] == 0
+        monkeypatch.setattr(fileio, "MAX_INPUT_BYTES", size - 1)
+        for argv in (
+            ["neighborhoods", structure],
+            ["check", "rough-cov", structure, family],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "InputFormatError"
+            assert f"exceeds the bound of {size - 1} bytes" in error["message"]
+
+    def test_the_byte_bound_applies_to_family_files(self, capsys, monkeypatch):
+        structure, family = fx("cov_mixed4.json"), fx("fam_mixed4_pass.json")
+        monkeypatch.setattr(fileio, "MAX_INPUT_BYTES", os.path.getsize(structure))
+        assert os.path.getsize(family) < os.path.getsize(structure)
+        assert run(capsys, "check", "rough-cov", structure, family)[0] == 0
+        monkeypatch.setattr(fileio, "MAX_INPUT_BYTES", os.path.getsize(family) - 1)
+        code, _, err = run(capsys, "ci3prime", fx("cov_sum_left.json"), family)
+        assert code == 2
+        assert "exceeds the bound" in json.loads(err)["error"]["message"]
+
+    def test_only_the_bound_is_read(self, capsys, tmp_path, monkeypatch):
+        # valid JSON up to the bound, garbage after it: the bound decides
+        head = b'{"universe": ["a"], "covering": [["a"]]}'
+        long = tmp_path / "long.json"
+        long.write_bytes(head + b" \xff{" * 20)
+        monkeypatch.setattr(fileio, "MAX_INPUT_BYTES", len(head) + 10)
+        code, _, err = run(capsys, "neighborhoods", str(long))
+        assert code == 2
+        assert "exceeds the bound" in json.loads(err)["error"]["message"]
+
+    def test_a_universe_past_the_label_bound_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(fileio, "MAX_LABELS", 4)
+        assert run(capsys, "neighborhoods", fx("cov_mixed4.json"))[0] == 0
+        monkeypatch.setattr(fileio, "MAX_LABELS", 3)
+        for argv in (
+            ["neighborhoods", fx("cov_mixed4.json")],
+            ["check", "rough-cov", fx("cov_chain3.json"), fx("fam_mixed4_pass.json")],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "InputFormatError"
+            assert "4 labels exceed the bound of 3" in error["message"]
+
+    def test_every_fixture_fits_the_bounds(self):
+        for path in sorted(FIXTURES.glob("*.json")):
+            assert path.stat().st_size <= fileio.MAX_INPUT_BYTES
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            assert len(payload.get("universe", ())) <= fileio.MAX_LABELS
+
+    def test_the_largest_benchmark_inputs_fit_the_bounds(self):
+        # the cli benchmark writes coverings with 14 to 16 elements
+        from roughmatroids import random_covering
+
+        for seed in range(20):
+            covering = random_covering(16, 0.3, seed)
+            text = dumps(fileio.covering_payload(covering))
+            assert len(text.encode()) <= fileio.MAX_INPUT_BYTES
+        assert 16 < fileio.MAX_LABELS
+
+
+def _json_objects(text: str) -> list:
+    """The JSON values that make up text, one after another."""
+    decoder = json.JSONDecoder()
+    values, end = [], 0
+    while end < len(text):
+        value, end = decoder.raw_decode(text, end)
+        values.append(value)
+        while end < len(text) and text[end].isspace():
+            end += 1
+    return values
+
+
+LABEL = st.sampled_from(["a", "b", "c", "d", "x y", "", "\u00e9", "{", ","])
+LABELS = st.lists(LABEL, max_size=5)
+JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), LABEL)
+PAYLOAD_VALUE = st.one_of(
+    JSON_LEAF,
+    LABELS,
+    st.lists(LABELS, max_size=5),
+    st.lists(st.lists(JSON_LEAF, max_size=3), max_size=4),
+)
+STRUCTURE = st.fixed_dictionaries(
+    {"universe": st.one_of(LABELS, JSON_LEAF)},
+    optional={"covering": PAYLOAD_VALUE, "relation": PAYLOAD_VALUE, "family": PAYLOAD_VALUE},
+)
+
+
+@st.composite
+def well_formed(draw):
+    """A structure that is also a family file, mostly valid: blocks and
+    members over the universe (now and then an unknown label), the whole
+    universe as a block to cover it, and the empty set among the members."""
+    labels = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    subsets = st.lists(st.sampled_from(labels), max_size=4, unique=True) | st.just(["z"])
+    payload = {"universe": labels, "family": [[]] + draw(st.lists(subsets, max_size=5))}
+    if draw(st.booleans()):
+        payload["covering"] = draw(st.lists(subsets, max_size=4)) + [labels]
+    else:
+        pair = st.lists(st.sampled_from(labels), min_size=2, max_size=2)
+        payload["relation"] = draw(st.lists(pair, max_size=8))
+    return json.dumps(payload)
+
+
+# well-formed files half the time
+FILE_TEXT = st.one_of(
+    well_formed(),
+    well_formed(),
+    STRUCTURE.map(json.dumps),
+    st.text(alphabet='{}[]",: abc\\u0\n', max_size=40),
+)
+SET_LITERAL = st.one_of(
+    st.text(alphabet="{}, abcdx", max_size=12),
+    st.one_of(LABELS, st.lists(st.sampled_from("abcd"), max_size=3, unique=True)).map(
+        lambda labels: "{" + ",".join(labels) + "}"
+    ),
+)
+COMMANDS = st.sampled_from(
+    [
+        ["neighborhoods", "S"],
+        ["approx", "S", "--set", "L"],
+        ["definable", "S"],
+        ["definable", "S", "--set", "L"],
+        ["lattice", "S"],
+        ["check", "rough-cov", "S", "F"],
+        ["check", "matroid", "S", "F"],
+        ["check", "lower-rel", "S", "F"],
+        ["ci3prime", "S", "F"],
+        ["extension-check", "S", "--d1", "L", "--d2", "L", "--element", "a"],
+        ["cross-check", "S", "--seed", "0"],
+    ]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=COMMANDS,
+    structure=FILE_TEXT,
+    family=st.none() | FILE_TEXT,
+    literal=SET_LITERAL,
+)
+def test_fuzzed_inputs_exit_cleanly_with_json_stderr(command, structure, family, literal):
+    # with no family drawn the structure file is read as the family file too
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"S": Path(tmp) / "s.json", "F": Path(tmp) / "f.json"}
+        paths["S"].write_text(structure, encoding="utf-8")
+        paths["F"].write_text(structure if family is None else family, encoding="utf-8")
+        argv = [str(paths[a]) if a in paths else literal if a == "L" else a for a in command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    for value in _json_objects(err.getvalue()):
+        assert set(value) <= {"error", "warning"} and len(value) == 1
+    if code == 2:
+        assert _json_objects(err.getvalue())

@@ -9,8 +9,14 @@ scan (64 members), so the exhaustive and the seeded sampled stages are all
 covered, and a sampled stage that draws differently moves every later
 stage's samples too.  The expected digest was recorded from the
 implementation that checked the lattice laws and the CI3/CI3' agreement
-on ``Subset`` members, before those stages moved to member masks.  Run
-the module as a script to print the digest.
+on ``Subset`` members, before those stages moved to member masks.
+
+A second gate runs eight seeded coverings at the sizes of the benchmark's
+law suite, ten and eleven elements with 173 to 312 definable sets, where
+both the lattice-law triples and the extension pairs are sampled.  Its
+digest was recorded from the implementation that recomputed the
+approximations for each stage and scanned the extension pairs one element
+at a time.  Run the module as a script to print both digests.
 """
 
 from __future__ import annotations
@@ -31,15 +37,25 @@ DENSITIES = (0.2, 0.3, 0.45)
 
 EXPECTED = "d456138a6c8b70b475c7907c4ed2330022c7c9b416343aeda605240e23c76282"
 
+LAWSUITE_SEEDS = (1089, 1004, 1003, 1021, 1026, 1016, 1103, 1036)
+LAWSUITE_DENSITY = 0.3
+
+LAWSUITE_EXPECTED = "c61245775b40c0921e41b57b755c3f7e7dad59e25152a88e5db00c2eb9467110"
+
 
 def _cases():
     for s in SEEDS:
         yield s, random_covering(4 + s % 6, DENSITIES[s % 3], s)
 
 
-def digest() -> str:
+def _lawsuite_cases():
+    for s in LAWSUITE_SEEDS:
+        yield s, random_covering(10 + s % 2, LAWSUITE_DENSITY, s)
+
+
+def digest(cases=_cases) -> str:
     h = hashlib.sha256()
-    for s, covering in _cases():
+    for s, covering in cases():
         report = cross_check(covering, EnumerationBudget(seed=s))
         h.update(dumps(report_payload(report)).encode())
     return h.hexdigest()
@@ -58,5 +74,17 @@ def test_sweep_straddles_the_scan_limits():
     assert 64 in sizes and any(k > 64 for k in sizes)
 
 
+def test_lawsuite_sized_reports_are_byte_identical_to_the_recorded_digest():
+    assert digest(_lawsuite_cases) == LAWSUITE_EXPECTED
+
+
+def test_lawsuite_sweep_samples_triples_and_pairs():
+    for _, covering in _lawsuite_cases():
+        assert covering.universe.size in (10, 11)
+        assert 169 <= len(definable_family(neighborhoods_of_covering(covering))) <= 320
+    assert {c.universe.size for _, c in _lawsuite_cases()} == {10, 11}
+
+
 if __name__ == "__main__":
     print(f'EXPECTED = "{digest()}"')
+    print(f'LAWSUITE_EXPECTED = "{digest(_lawsuite_cases)}"')

@@ -3,14 +3,24 @@
 Each loop is compared with a copy, kept here, of the loop it replaced:
 
 - the sampled lattice-law triples, drawn one ``rng.choice`` at a time,
-  alone and inside ``cross_check`` up to the sampler that follows them;
+  and the sampled extension pairs, one ``rng.randrange`` at a time, alone
+  and inside ``cross_check`` up to the sampler that follows each;
+- the subfamily selection through the validating ``SetFamily``
+  constructor;
 - the lattice-law scan, one index tuple per combination;
 - the CI3' maximality test of each member inside a definable set against
-  every member above it;
-- the neighborhood map, rebuilt from the blocks on every call.
+  every member above it, and the top-down walk over every definable set
+  that replaced it before the walk skipped the sets that cannot fail;
+- the neighborhood map, rebuilt from the blocks on every call;
+- the extension criterion walked one gap element at a time, with one
+  membership test per element;
+- the closure gate that combined every pair of members.
 
 The replacements must give the same values, the same witnesses and, for
-the draws, leave the generator in the same state.
+the draws, leave the generator in the same state.  The duality and
+fixpoint scans, which each recomputed the approximations, are checked by
+count instead: one ``cross_check`` computes each approximation once per
+subset.
 """
 
 from __future__ import annotations
@@ -32,13 +42,22 @@ from roughmatroids import (
     neighborhoods_of_covering,
     random_covering,
 )
-from roughmatroids import oracle
+from roughmatroids import definable, oracle
 from roughmatroids.axioms import _check_rough_given, definability_report
 from roughmatroids.core import NeighborhoodMap
+from roughmatroids.definable import _closure_bits, check_closure
 from roughmatroids.lattice import _first_law_failure
-from roughmatroids.oracle import _SAMPLED_TRIPLES, _choice_indices, _subfamily
+from roughmatroids.oracle import (
+    _SAMPLED_PAIRS,
+    _SAMPLED_TRIPLES,
+    _choice_indices,
+    _extension_scan,
+    _sample_distinct,
+    _subfamily,
+)
 from roughmatroids.report import AxiomFailure, CheckReport
-from test_crosscheck_identity import _cases
+from test_acceptance import all_neighborhood_signatures
+from test_crosscheck_identity import _cases, _lawsuite_cases
 from test_member_order import hex_covering
 from test_report_identity import _coverings
 
@@ -51,6 +70,22 @@ DRAW_SIZES = (1, 2, 3, 41, 320, 1 << 20)
 def choice_triples(rng, mem, count):
     """The sampled triples, one ``rng.choice`` per member."""
     return [tuple(rng.choice(mem) for _ in range(3)) for _ in range(count)]
+
+
+def one_at_a_time_distinct(rng, upper, count):
+    """The sampled extension pairs, one ``rng.randrange`` per draw."""
+    if upper <= count:
+        return list(range(upper))
+    picked = set()
+    while len(picked) < count:
+        picked.add(rng.randrange(upper))
+    return sorted(picked)
+
+
+def validated_subfamily(dfam, mask):
+    """The selected members, through the validating constructor."""
+    members = tuple(m for i, m in enumerate(dfam.members) if mask >> i & 1)
+    return SetFamily(dfam.universe, members)
 
 
 def scan_first_law_failure(members, axiom, arity, holds):
@@ -92,6 +127,77 @@ def above_ci3_prime(covering, family):
     return CheckReport("ci3prime", passed=not failures, failures=tuple(failures))
 
 
+def topdown_ci3_prime(covering, family):
+    """CI3' with the maximal members of every definable set found by the
+    top-down walk, no set skipped."""
+    dfam = definable_family(neighborhoods_of_covering(covering))
+    picked = dfam.index_mask(family)
+    if picked is None:
+        return definability_report("ci3prime", dfam, family)
+    order = dfam.order
+    base = _check_rough_given(
+        "ci3prime", order, picked, ("CI1", "CI2", "CI3"), include_exchange=False
+    )
+    failures = list(base.failures)
+    members = order.members
+    below = order.below
+    for d in range(len(members)):
+        maximal = []
+        rest = below[d] & picked
+        while rest:
+            j = rest.bit_length() - 1
+            maximal.append(j)
+            rest &= ~below[j]
+        maximal.reverse()
+        size = order.sizes[maximal[0]] if maximal else 0
+        other = next((j for j in maximal if order.sizes[j] != size), None)
+        if other is not None:
+            witness = {"D": members[d], "I1": members[maximal[0]], "I2": members[other]}
+            failures.append(AxiomFailure("CI3'", witness))
+            break
+    return CheckReport("ci3prime", passed=not failures, failures=tuple(failures))
+
+
+def walk_extension_scan(family, cells, pairs):
+    """The extension criterion, one membership test per gap element."""
+    mem = family.members
+    gap_respected = True
+    for i, j in pairs:
+        d1, d2 = mem[i], mem[j]
+        gap_bits = d2.bits & ~d1.bits
+        rest = gap_bits
+        while rest:
+            e = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            blocked = not family.contains_bits(d1.bits | (1 << e))
+            predicted = gap_bits & ~(1 << e) & cells[e] != 0
+            if blocked != predicted:
+                gap_respected = False
+                if len(d1) < len(d2):
+                    d = family.universe.labels[e]
+                    witness = {"D1": d1, "D2": d2, "d": d}
+                    return gap_respected, AxiomFailure("extension-biconditional", witness)
+                break
+    return gap_respected, None
+
+
+def pair_scan_closure(family):
+    """The closure check over every pair i <= j, unions first."""
+    members = family.members
+    masks = [m.bits for m in members]
+    present = family.bitset()
+    failures = []
+    for tag, combine in (("union-closure", int.__or__), ("intersection-closure", int.__and__)):
+        for i, x in enumerate(masks):
+            j = next((j for j in range(i, len(masks)) if combine(x, masks[j]) not in present), None)
+            if j is not None:
+                missing = Subset(family.universe, combine(x, masks[j]))
+                witness = {"x": members[i], "y": members[j], "missing": missing}
+                failures.append(AxiomFailure(tag, witness))
+                break
+    return CheckReport("closure", passed=not failures, failures=tuple(failures))
+
+
 def blocks_neighborhoods(covering):
     u = covering.universe
     full = (1 << u.size) - 1
@@ -130,7 +236,9 @@ def test_a_whole_sampled_triple_stage_draws_alike(n):
 
 
 def test_cross_check_leaves_the_generator_where_choice_draws_left_it(monkeypatch):
-    # the stage after the triples starts with one of these two samplers
+    # Each sampler after the triples starts where one draw at a time left
+    # the generator: the pair draws after the triples, and the agreement
+    # samples after the pairs.
     states = []
 
     def recording(sample):
@@ -142,17 +250,33 @@ def test_cross_check_leaves_the_generator_where_choice_draws_left_it(monkeypatch
 
     for name in ("_sample_distinct", "_sample_family_masks"):
         monkeypatch.setattr(oracle, name, recording(getattr(oracle, name)))
-    sampled = 0
-    for seed, covering in _cases():
+    sampled = paired = 0
+    for seed, covering in list(_cases()) + list(_lawsuite_cases()):
         mem = definable_family(neighborhoods_of_covering(covering)).members
         states.clear()
         cross_check(covering, EnumerationBudget(seed=seed))
         single = random.Random(seed)
+        expected = []
         if len(mem) > oracle._TRIPLE_SCAN_LIMIT:
             choice_triples(single, mem, _SAMPLED_TRIPLES)
             sampled += 1
-        assert states[0] == single.getstate()
-    assert sampled >= 5
+        if len(mem) > oracle._PAIR_SCAN_LIMIT:
+            expected.append(single.getstate())
+            one_at_a_time_distinct(single, len(mem) ** 2, _SAMPLED_PAIRS)
+            paired += 1
+        expected.append(single.getstate())
+        assert states == expected
+    assert sampled >= 5 and paired >= 10
+
+
+@pytest.mark.parametrize("upper", (65 * 65, 320 * 320, 4096 * 4096, (1 << 32) - 1, (1 << 32) + 3))
+def test_batched_pair_draw_matches_one_draw_at_a_time(upper):
+    for seed in range(5):
+        batched, single = random.Random(seed), random.Random(seed)
+        assert _sample_distinct(batched, upper, _SAMPLED_PAIRS) == one_at_a_time_distinct(
+            single, upper, _SAMPLED_PAIRS
+        )
+        assert batched.getstate() == single.getstate()
 
 
 # --- lattice-law scan -----------------------------------------------------------
@@ -181,6 +305,21 @@ def test_law_scan_names_the_same_first_failure():
     assert {(axiom, True) for axiom, *_ in CONTRIVED} <= outcomes
 
 
+# --- subfamilies ------------------------------------------------------------------
+
+
+def test_subfamily_equals_the_validated_selection():
+    rng = random.Random(2)
+    for covering in [hex_covering()] + [c for _, c in _lawsuite_cases()][:3]:
+        dfam = definable_family(neighborhoods_of_covering(covering))
+        masks = [0, 1, (1 << len(dfam)) - 1] + [rng.getrandbits(len(dfam)) for _ in range(200)]
+        for mask in masks:
+            family = _subfamily(dfam, mask)
+            assert family == validated_subfamily(dfam, mask)
+            assert family.bitset() == validated_subfamily(dfam, mask).bitset()
+            assert dfam.index_mask(family) == mask
+
+
 # --- CI3' -----------------------------------------------------------------------
 
 
@@ -191,6 +330,7 @@ def test_ci3_prime_walk_matches_on_every_hex_subfamily():
     for mask in range(1 << len(dfam)):
         family = _subfamily(dfam, mask)
         new = check_ci3_prime(covering, family)
+        assert new == topdown_ci3_prime(covering, family), mask
         assert new == above_ci3_prime(covering, family), mask
         verdicts.add(new.failures[-1].axiom if new.failures else None)
     assert {None, "CI3'"} <= verdicts
@@ -208,7 +348,9 @@ def test_ci3_prime_walk_matches_on_seeded_coverings():
             masks = [rng.getrandbits(len(dfam)) for _ in range(300)]
         for mask in masks:
             family = _subfamily(dfam, mask)
-            assert check_ci3_prime(covering, family) == above_ci3_prime(covering, family)
+            new = check_ci3_prime(covering, family)
+            assert new == topdown_ci3_prime(covering, family)
+            assert new == above_ci3_prime(covering, family)
             tested += 1
     assert tested > 10_000
 
@@ -239,3 +381,153 @@ def test_neighborhood_map_survives_pickling():
         # round trip is the same map
         assert vars(copy)["neighborhoods"] == built
         assert fresh.neighborhoods == built
+
+
+# --- extension criterion ----------------------------------------------------------
+
+
+def every_pair(size):
+    return [(i, j) for i in range(size) for j in range(size) if i != j]
+
+
+def sampled_pairs(size, seed):
+    draw = _sample_distinct(random.Random(seed), size * size, _SAMPLED_PAIRS)
+    return [(i, j) for i, j in (divmod(k, size) for k in draw) if i != j]
+
+
+def test_extension_scan_matches_on_every_small_neighborhood_map():
+    maps = 0
+    for n in (1, 2, 3, 4):
+        for covering in all_neighborhood_signatures(n):
+            nm = neighborhoods_of_covering(covering)
+            dfam = definable_family(nm)
+            pairs = every_pair(len(dfam))
+            assert _extension_scan(dfam, nm.cell_bits, pairs) == walk_extension_scan(
+                dfam, nm.cell_bits, pairs
+            )
+            maps += 1
+    assert maps > 300
+
+
+def test_extension_scan_matches_on_seeded_lawsuite_sized_coverings():
+    shapes = set()
+    cases = [(s, random_covering(8 + s % 4, 0.3, s)) for s in range(12)]
+    for seed, covering in cases + list(_lawsuite_cases()):
+        nm = neighborhoods_of_covering(covering)
+        dfam = definable_family(nm)
+        size = len(dfam)
+        pairs = every_pair(size) if size <= oracle._PAIR_SCAN_LIMIT else sampled_pairs(size, seed)
+        new = _extension_scan(dfam, nm.cell_bits, pairs)
+        assert new == walk_extension_scan(dfam, nm.cell_bits, pairs)
+        shapes.add(size <= oracle._PAIR_SCAN_LIMIT)
+    assert shapes == {True, False}
+
+
+def test_extension_scan_matches_where_the_criterion_fails():
+    # Stand-in families: arbitrary member sets, not the definable family of
+    # the neighborhoods, so blocked and predicted can disagree.
+    rng = random.Random(11)
+    outcomes = set()
+    for seed in range(300):
+        n = 3 + seed % 4
+        universe = Universe(tuple("abcdef"[:n]))
+        cells = neighborhoods_of_covering(random_covering(n, 0.4, seed)).cell_bits
+        bits = {rng.getrandbits(n) for _ in range(rng.randint(2, 3 * n))}
+        family = SetFamily.from_bits(universe, bits)
+        pairs = every_pair(len(family))
+        rng.shuffle(pairs)
+        new = _extension_scan(family, cells, pairs)
+        assert new == walk_extension_scan(family, cells, pairs)
+        outcomes.add((new[0], new[1] is None))
+    # the witness, and a disagreement only on pairs without the size gap
+    assert {(False, False), (False, True), (True, True)} <= outcomes
+
+
+# --- closure gate -------------------------------------------------------------------
+
+
+def closed(bits, combine):
+    out = set(bits)
+    grown = True
+    while grown:
+        new = {combine(x, y) for x in out for y in out} - out
+        grown = bool(new)
+        out |= new
+    return out
+
+
+def test_closure_gate_matches_the_pair_scan_on_seeded_families():
+    rng = random.Random(3)
+    shapes = set()
+    for _ in range(2400):
+        n = rng.randint(1, 6)
+        universe = Universe(tuple("abcdef"[:n]))
+        bits = {rng.getrandbits(n) for _ in range(rng.randint(1, 10))}
+        mode = rng.randrange(5)
+        if mode in (1, 3):
+            bits = closed(bits, int.__or__)
+        if mode in (2, 3):
+            bits = closed(bits, int.__and__)
+        if mode == 3 and rng.random() < 0.3:
+            bits = closed(bits, int.__or__)
+        if mode == 4 and len(bits) > 1:
+            # one member short of closed under both
+            bits = closed(closed(bits, int.__or__), int.__and__)
+            bits.discard(rng.choice(sorted(bits)))
+        family = SetFamily.from_bits(universe, bits)
+        new = check_closure(family)
+        assert new == pair_scan_closure(family)
+        shapes.add(tuple(f.axiom for f in new.failures))
+    assert shapes == {
+        (),
+        ("union-closure",),
+        ("intersection-closure",),
+        ("union-closure", "intersection-closure"),
+    }
+
+
+def test_closure_gate_matches_the_pair_scan_on_small_definable_families():
+    families = {}
+    for n in (1, 2, 3, 4):
+        universe = Universe(tuple("abcd"[:n]))
+        for covering in all_neighborhood_signatures(n):
+            family = definable_family(neighborhoods_of_covering(covering))
+            families[family.bitset()] = family
+        # every relation: its successor map is any n-tuple of subsets
+        for cells in product(range(1 << n), repeat=n):
+            key = frozenset(_closure_bits(cells))
+            if key not in families:
+                families[key] = SetFamily.from_bits(universe, key)
+    verdicts = set()
+    for family in families.values():
+        new = check_closure(family)
+        assert new == pair_scan_closure(family)
+        verdicts.add(new.passed)
+    assert verdicts == {True, False}
+
+
+# --- one approximation pass ---------------------------------------------------------
+
+
+def test_cross_check_computes_each_approximation_once_per_subset(monkeypatch):
+    calls = {"lower": 0, "upper": 0}
+
+    def counted(name, approx):
+        def count(cells, x):
+            calls[name] += 1
+            return approx(cells, x)
+
+        return count
+
+    def refused(*args):
+        raise AssertionError("cross_check rescanned the fixpoints")
+
+    monkeypatch.setattr(oracle, "lower_approx_bits", counted("lower", oracle.lower_approx_bits))
+    monkeypatch.setattr(oracle, "upper_approx_bits", counted("upper", oracle.upper_approx_bits))
+    for name in ("fixpoint_family_lower", "fixpoint_family_upper", "_fixpoint_family"):
+        monkeypatch.setattr(definable, name, refused)
+    for seed, covering in [(0, hex_covering())] + list(_lawsuite_cases())[:2]:
+        calls.update(lower=0, upper=0)
+        cross_check(covering, EnumerationBudget(seed=seed))
+        n = covering.universe.size
+        assert calls == {"lower": 1 << n, "upper": 1 << n}
