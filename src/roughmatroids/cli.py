@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Thin sequential dispatcher over the library: loads structure and family
-files, runs the requested computation, and emits JSON (or DOT for
-lattices, or an unstable human-readable text rendering of reports).
+Every subcommand runs down one path.  ``build_parser`` declares, with
+each subcommand, its handler and the ``--format`` values it allows.
+``main`` parses the arguments, refuses a format the subcommand does not
+allow, and calls the handler.  A handler loads its inputs, computes, and
+returns one of three results: a ``CheckReport``, DOT text, or a JSON
+payload.  ``_render`` turns that result into text and an exit code, and
+``main`` writes the text to ``--output`` or stdout.
 
 Exit codes: 0 for completed runs whose verdicts all pass, 1 for completed
 runs carrying a fail verdict, 2 for malformed input or usage errors.  The
@@ -38,28 +42,20 @@ from .constructions import (
     extension_sides,  # unused here; the benchmark tracer wraps it by this name
     uniform_family,
 )
-from .core import (
-    Covering,
-    check_duality,
-    lower_approx,
-    neighborhoods_of_covering,
-    successor_neighborhoods,
-    upper_approx,
-)
+from .core import Covering, Universe, check_duality, lower_approx, upper_approx
 from .definable import definable_family, is_definable
 from .lattice import build_lattice, export_dot
 from .oracle import EnumerationBudget, cross_check, enumerate_rough_matroids
 from .report import CheckReport
 
+# ``check matroid`` runs on either structure kind; these are the others.
 CHECKS_ON_COVERING = {
-    "matroid": None,
     "rough-cov": check_rough_matroid_covering,
     "lower-cov": check_lower_rough_matroid_covering,
     "upper-cov": check_upper_rough_matroid_covering,
     "matroid-cond": check_matroid_condition,
 }
 CHECKS_ON_RELATION = {
-    "matroid": None,
     "lower-rel": check_lower_rough_matroid_relation,
     "upper-rel": check_upper_rough_matroid_relation,
 }
@@ -82,20 +78,6 @@ def _emit_warning(message, category, *_) -> None:
     sys.stderr.write(fileio.dumps({"warning": {"type": category.__name__, "message": str(message)}}))
 
 
-def _write(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _validate_format(args, allowed: tuple[str, ...]) -> None:
-    if args.format not in allowed:
-        raise fileio.InputFormatError(
-            f"format {args.format!r} is not valid here (allowed: {', '.join(allowed)})"
-        )
-
-
 def _render_report(report: CheckReport, fmt: str) -> str:
     if fmt == "text":
         lines = [f"{report.check}: {'PASS' if report.passed else 'FAIL'}"]
@@ -108,178 +90,142 @@ def _render_report(report: CheckReport, fmt: str) -> str:
     return fileio.dumps(fileio.report_payload(report))
 
 
-def _report_exit(report: CheckReport, args) -> int:
-    _write(_render_report(report, args.format), args.output)
-    return 0 if report.passed else 1
+def _render(result, fmt: str) -> tuple[str, int]:
+    """The text and exit code of a handler's result: a report, DOT text,
+    or a JSON payload, which fails when the report it carries does."""
+    if isinstance(result, CheckReport):
+        return _render_report(result, fmt), 0 if result.passed else 1
+    if isinstance(result, str):
+        return result, 0
+    failed = result.get("report", {}).get("pass") is False
+    return fileio.dumps(result), 1 if failed else 0
 
 
-def _neighborhood_map(structure):
-    if isinstance(structure, Covering):
-        return neighborhoods_of_covering(structure)
-    return successor_neighborhoods(structure)
+def _load_covering(path: str, what: str) -> tuple[Universe, Covering]:
+    """Read a structure file that must hold a covering."""
+    universe, structure = fileio.load_structure(path)
+    if not isinstance(structure, Covering):
+        raise fileio.InputFormatError(f"{what} requires a covering structure file")
+    return universe, structure
 
 
-def _cmd_neighborhoods(args) -> int:
-    _validate_format(args, ("json",))
+def _cmd_neighborhoods(args):
     _, structure = fileio.load_structure(args.structure)
-    nm = _neighborhood_map(structure)
-    _write(fileio.dumps(fileio.neighborhoods_payload(nm)), args.output)
-    return 0
+    return fileio.neighborhoods_payload(structure.neighborhoods)
 
 
-def _cmd_approx(args) -> int:
-    _validate_format(args, ("json",))
+def _cmd_approx(args):
     universe, structure = fileio.load_structure(args.structure)
-    nm = _neighborhood_map(structure)
+    nm = structure.neighborhoods
     x = fileio.parse_set_literal(args.set, universe)
-    payload = {
+    return {
         "universe": list(universe.labels),
         "set": fileio.subset_payload(x),
         "lower": fileio.subset_payload(lower_approx(nm, x)),
         "upper": fileio.subset_payload(upper_approx(nm, x)),
         "duality_holds": check_duality(nm, x),
     }
-    _write(fileio.dumps(payload), args.output)
-    return 0
 
 
-def _cmd_definable(args) -> int:
-    _validate_format(args, ("json",))
+def _cmd_definable(args):
     universe, structure = fileio.load_structure(args.structure)
-    nm = _neighborhood_map(structure)
-    if args.set is not None:
-        x = fileio.parse_set_literal(args.set, universe)
-        payload = {
-            "universe": list(universe.labels),
-            "set": fileio.subset_payload(x),
-            "definable": is_definable(nm, x),
-        }
-        _write(fileio.dumps(payload), args.output)
-        return 0
-    family = definable_family(nm)
-    _write(fileio.dumps(fileio.family_payload(family)), args.output)
-    return 0
+    nm = structure.neighborhoods
+    if args.set is None:
+        return fileio.family_payload(definable_family(nm))
+    x = fileio.parse_set_literal(args.set, universe)
+    return {
+        "universe": list(universe.labels),
+        "set": fileio.subset_payload(x),
+        "definable": is_definable(nm, x),
+    }
 
 
-def _cmd_lattice(args) -> int:
-    _validate_format(args, ("json", "dot"))
-    universe, structure = fileio.load_structure(args.structure)
-    family = definable_family(_neighborhood_map(structure))
-    diagram = build_lattice(family)
+def _cmd_lattice(args):
+    _, structure = fileio.load_structure(args.structure)
+    diagram = build_lattice(definable_family(structure.neighborhoods))
     if args.format == "dot":
-        _write(export_dot(diagram), args.output)
-    else:
-        _write(fileio.dumps(fileio.lattice_payload(diagram)), args.output)
-    return 0
+        return export_dot(diagram)
+    return fileio.lattice_payload(diagram)
 
 
-def _cmd_check(args) -> int:
-    _validate_format(args, ("json", "text"))
+def _cmd_check(args):
     universe, structure = fileio.load_structure(args.structure)
     family = fileio.load_family(args.family, universe)
     name = args.name
     if name == "matroid":
-        report = check_matroid(universe, family)
-    elif isinstance(structure, Covering):
-        if name not in CHECKS_ON_COVERING:
-            raise fileio.InputFormatError(f"check {name!r} needs a relation structure file")
-        report = CHECKS_ON_COVERING[name](structure, family)
+        return check_matroid(universe, family)
+    if isinstance(structure, Covering):
+        checks, other = CHECKS_ON_COVERING, "relation"
     else:
-        if name not in CHECKS_ON_RELATION:
-            raise fileio.InputFormatError(f"check {name!r} needs a covering structure file")
-        report = CHECKS_ON_RELATION[name](structure, family)
-    return _report_exit(report, args)
+        checks, other = CHECKS_ON_RELATION, "covering"
+    if name not in checks:
+        raise fileio.InputFormatError(f"check {name!r} needs a {other} structure file")
+    return checks[name](structure, family)
 
 
-def _require_covering(structure, what: str) -> Covering:
-    if not isinstance(structure, Covering):
-        raise fileio.InputFormatError(f"{what} requires a covering structure file")
-    return structure
-
-
-def _cmd_uniform(args) -> int:
-    _validate_format(args, ("json", "text") if args.proposition else ("json",))
-    universe, structure = fileio.load_structure(args.structure)
-    covering = _require_covering(structure, "uniform")
+def _cmd_uniform(args):
+    _, covering = _load_covering(args.structure, "uniform")
     if args.proposition:
-        return _report_exit(check_uniform_proposition(covering, args.r), args)
-    family = uniform_family(covering, args.r, strict=args.strict)
-    _write(fileio.dumps(fileio.family_payload(family)), args.output)
-    return 0
+        return check_uniform_proposition(covering, args.r)
+    return fileio.family_payload(uniform_family(covering, args.r, strict=args.strict))
 
 
-def _cmd_direct_sum(args) -> int:
-    _validate_format(args, ("json",))
+def _cmd_direct_sum(args):
+    # both summands are read before either structure kind is checked
     u1, s1 = fileio.load_structure(args.structure1)
     f1 = fileio.load_family(args.family1, u1)
     u2, s2 = fileio.load_structure(args.structure2)
     f2 = fileio.load_family(args.family2, u2)
-    c1 = _require_covering(s1, "direct-sum")
-    c2 = _require_covering(s2, "direct-sum")
-    covering, family, report = direct_sum(c1, f1, c2, f2)
-    payload = {
+    if not (isinstance(s1, Covering) and isinstance(s2, Covering)):
+        raise fileio.InputFormatError("direct-sum requires a covering structure file")
+    covering, family, report = direct_sum(s1, f1, s2, f2)
+    return {
         "covering": fileio.covering_payload(covering),
         "family": fileio.family_payload(family),
         "report": fileio.report_payload(report),
     }
-    _write(fileio.dumps(payload), args.output)
-    return 0 if report.passed else 1
 
 
-def _cmd_ci3prime(args) -> int:
-    _validate_format(args, ("json", "text"))
-    universe, structure = fileio.load_structure(args.structure)
-    covering = _require_covering(structure, "ci3prime")
-    family = fileio.load_family(args.family, universe)
-    return _report_exit(check_ci3_prime(covering, family), args)
+def _cmd_ci3prime(args):
+    universe, covering = _load_covering(args.structure, "ci3prime")
+    return check_ci3_prime(covering, fileio.load_family(args.family, universe))
 
 
-def _cmd_extension_check(args) -> int:
-    _validate_format(args, ("json",))
-    universe, structure = fileio.load_structure(args.structure)
-    covering = _require_covering(structure, "extension-check")
+def _cmd_extension_check(args):
+    universe, covering = _load_covering(args.structure, "extension-check")
     d1 = fileio.parse_set_literal(args.d1, universe)
     d2 = fileio.parse_set_literal(args.d2, universe)
     # validated: the neighborhood criterion agrees with the membership test
     blocked = one_point_extension_blocked(
         covering, d1, d2, args.element, require_size_gap=not args.no_size_check
     )
-    payload = {
+    return {
         "d1": fileio.subset_payload(d1),
         "d2": fileio.subset_payload(d2),
         "element": args.element,
         "blocked": blocked,
         "neighborhood_criterion": blocked,
     }
-    _write(fileio.dumps(payload), args.output)
-    return 0
 
 
-def _cmd_enumerate(args) -> int:
-    _validate_format(args, ("json",))
-    universe, structure = fileio.load_structure(args.structure)
-    covering = _require_covering(structure, "enumerate")
+def _cmd_enumerate(args):
+    _, covering = _load_covering(args.structure, "enumerate")
     budget = EnumerationBudget(max_family_base=args.max_family_base)
     families = enumerate_rough_matroids(covering, budget, start=args.start, jobs=args.jobs)
     command = f"enumerate {args.structure}"
     if args.start:
         command += f" --start {args.start}"
-    payload = {
+    return {
         "command": command,
         "seed": None,
         "count": len(families),
         "families": [[fileio.subset_payload(m) for m in fam.members] for fam in families],
     }
-    _write(fileio.dumps(payload), args.output)
-    return 0
 
 
-def _cmd_cross_check(args) -> int:
-    _validate_format(args, ("json", "text"))
-    universe, structure = fileio.load_structure(args.structure)
-    covering = _require_covering(structure, "cross-check")
-    budget = EnumerationBudget(trials=args.trials, seed=args.seed)
-    return _report_exit(cross_check(covering, budget), args)
+def _cmd_cross_check(args):
+    _, covering = _load_covering(args.structure, "cross-check")
+    return cross_check(covering, EnumerationBudget(trials=args.trials, seed=args.seed))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, formats=("json",), **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, formats=formats)
         p.add_argument("--output", help="write output to this path instead of stdout")
         p.add_argument(
             "--format",
@@ -312,15 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("structure")
     p.add_argument("--set", help="test this set literal instead of emitting the family")
 
-    p = add("lattice", _cmd_lattice, help="Hasse diagram of the definable-set lattice")
+    p = add("lattice", _cmd_lattice, ("json", "dot"), help="Hasse diagram of the definable-set lattice")
     p.add_argument("structure")
 
-    p = add("check", _cmd_check, help="run an axiom-system check")
+    p = add("check", _cmd_check, ("json", "text"), help="run an axiom-system check")
     p.add_argument("name", choices=CHECK_NAMES)
     p.add_argument("structure")
     p.add_argument("family")
 
-    p = add("uniform", _cmd_uniform, help="definable sets up to a cardinality bound")
+    p = add("uniform", _cmd_uniform, ("json", "text"), help="definable sets up to a cardinality bound")
     p.add_argument("structure")
     p.add_argument("--r", type=int, required=True, help="cardinality bound")
     p.add_argument("--strict", action="store_true", help="require 0 < r < n")
@@ -336,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("structure2")
     p.add_argument("family2")
 
-    p = add("ci3prime", _cmd_ci3prime, help="equal-cardinality exchange axiom check")
+    p = add("ci3prime", _cmd_ci3prime, ("json", "text"), help="equal-cardinality exchange axiom check")
     p.add_argument("structure")
     p.add_argument("family")
 
@@ -353,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1 (capped at the CPU count)")
     p.add_argument("--max-family-base", type=int, default=18)
 
-    p = add("cross-check", _cmd_cross_check, help="full law suite for one covering")
+    p = add("cross-check", _cmd_cross_check, ("json", "text"), help="full law suite for one covering")
     p.add_argument("structure")
     p.add_argument("--seed", type=int, required=True, help="seed for sampled scans")
     p.add_argument("--trials", type=int, default=100)
@@ -367,10 +313,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    allowed = args.formats
+    if args.command == "uniform" and not args.proposition:
+        allowed = ("json",)  # text renders the proposition's report only
     with warnings.catch_warnings():
         warnings.showwarning = _emit_warning
         try:
-            return args.fn(args)
+            if args.format not in allowed:
+                raise fileio.InputFormatError(
+                    f"format {args.format!r} is not valid here (allowed: {', '.join(allowed)})"
+                )
+            text, code = _render(args.fn(args), args.format)
+            if args.output:
+                Path(args.output).write_text(text, encoding="utf-8")
+            else:
+                sys.stdout.write(text)
+            return code
         except (ValueError, KeyError, OSError) as exc:
             _emit_error(type(exc).__name__, str(exc))
             return 2

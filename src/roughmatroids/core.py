@@ -296,6 +296,17 @@ class BinaryRelation:
     def related(self, x: str, y: str) -> bool:
         return (self.universe.index(x), self.universe.index(y)) in self.pairs
 
+    @cached_property
+    def neighborhoods(self) -> NeighborhoodMap:
+        """Successor neighborhood of x: everything x relates to (may be
+        empty).  Built on first use and kept with the relation, as
+        ``Covering.neighborhoods`` is with its covering."""
+        u = self.universe
+        bits = [0] * u.size
+        for x, y in self.pairs:
+            bits[x] |= 1 << y
+        return NeighborhoodMap(u, tuple(Subset(u, b) for b in bits))
+
 
 @dataclass(frozen=True)
 class NeighborhoodMap:
@@ -334,12 +345,8 @@ def neighborhoods_of_covering(covering: Covering) -> NeighborhoodMap:
 
 
 def successor_neighborhoods(relation: BinaryRelation) -> NeighborhoodMap:
-    """Successor neighborhood of x: everything x relates to (may be empty)."""
-    u = relation.universe
-    bits = [0] * u.size
-    for x, y in relation.pairs:
-        bits[x] |= 1 << y
-    return NeighborhoodMap(u, tuple(Subset(u, b) for b in bits))
+    """The relation's successor neighborhood map (``BinaryRelation.neighborhoods``)."""
+    return relation.neighborhoods
 
 
 def lower_approx_bits(cell_bits: tuple[int, ...], xbits: int) -> int:

@@ -15,8 +15,10 @@ from roughmatroids import (
     UniverseMismatchError,
     check_duality,
     lower_approx,
+    NeighborhoodMap,
     neighborhoods_of_covering,
     random_covering,
+    random_relation,
     successor_neighborhoods,
     upper_approx,
 )
@@ -178,6 +180,29 @@ class TestSuccessorNeighborhoods:
         rel = BinaryRelation.from_labels(u, [(x, x) for x in u.labels])
         nm = successor_neighborhoods(rel)
         assert [cell.members() for cell in nm.cells] == [("a",), ("b",), ("c",)]
+
+    def test_property_equals_the_successor_construction(self, rel4):
+        def successors(relation):
+            u = relation.universe
+            cells = [
+                u.subset(u.labels[y] for y in range(u.size) if (x, y) in relation.pairs)
+                for x in range(u.size)
+            ]
+            return NeighborhoodMap(u, tuple(cells))
+
+        relations = [rel4] + [
+            random_relation(n, density, seed)
+            for n in (1, 3, 5)
+            for density in (0.0, 0.3, 0.7, 1.0)
+            for seed in range(3)
+        ]
+        for relation in relations:
+            assert relation.neighborhoods == successors(relation)
+
+    def test_function_returns_the_cached_property(self, rel4):
+        first = successor_neighborhoods(rel4)
+        assert rel4.neighborhoods is first
+        assert successor_neighborhoods(rel4) is first
 
 
 # ---------------------------------------------------------------------------
