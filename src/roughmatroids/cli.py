@@ -330,7 +330,9 @@ def main(argv=None) -> int:
                 sys.stdout.write(text)
             return code
         except (ValueError, KeyError, OSError) as exc:
-            _emit_error(type(exc).__name__, str(exc))
+            # str() of a KeyError is the repr of its message
+            message = str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
+            _emit_error(type(exc).__name__, message)
             return 2
 
 

@@ -278,6 +278,14 @@ class TestOtherCommands:
         assert payload["blocked"] is True
         assert payload["neighborhood_criterion"] is True
 
+    def test_extension_check_unknown_element_message_is_plain(self, capsys):
+        code, out, err = run(
+            capsys, "extension-check", fx("cov_hex.json"),
+            "--d1", "{e}", "--d2", "{a,d,f}", "--element", "z",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {"type": "KeyError", "message": "unknown label 'z'"}}
+
     def test_enumerate_fixture_format(self, capsys):
         code, out, _ = run(capsys, "enumerate", fx("cov_chain3.json"))
         assert code == 0

@@ -250,7 +250,8 @@ EXPECTED = {
     "universe-mismatch": "677bab94a2501eae27ccc39f1a463ec2e71b0b6f5f664f47c7abc50540ce0548",
     "unknown-check": "1e9c00d8667a5e21e32befcd1361a449fe3610ad5ebd27f28e08d889ac621578",
     "unknown-format": "c480b71a9950f85fd5b92f5e2b41c70afc41ca49260df91550cce369ace2a7c6",
-    "unknown-label-element": "e8a1ec45f675ea3e4a12a7eb2dca7856a285e6301b63d01cab3192c385593c6a",
+    # a KeyError's message is printed without the quotes str() adds
+    "unknown-label-element": "50a8b0da16f87d434a89b53f90916f620ad5a37d7e58c1bf796fdc0d9fa76edd",
     "unknown-label-set": "b4228b4aa7e94c40c9d3e717dd56f8b268986e1d96313aaeb191a7eb17734b68",
     "unknown-subcommand": "1f113f8c7ff06b00af33615405068e7b6001cf6e0ae68f7f72ff2770c3845f73",
     "wide-universe-warning": "059bd6b255ef29140778e22997ff4435d6f7668474388b7f0ddfe12a53cbeb5d",
