@@ -49,6 +49,7 @@ inclusion is what keeps heredity from collapsing the family upward.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Callable
 
 from .core import (
@@ -57,7 +58,6 @@ from .core import (
     NeighborhoodMap,
     Subset,
     Universe,
-    canonical_mask_key,
     lower_approx_bits,
     neighborhoods_of_covering,
     successor_neighborhoods,
@@ -69,15 +69,17 @@ from .report import AxiomFailure, CheckReport
 ApproxFn = Callable[[int], int]
 
 
-def _subsets_canonical(bits: int) -> list[int]:
-    """All submasks of ``bits`` in canonical order (including 0 and itself)."""
-    subs = [0]
-    rest = bits
-    while rest:
-        low = rest & -rest
-        subs += [s | low for s in subs]
-        rest &= rest - 1
-    return sorted(subs, key=canonical_mask_key)
+def _first_missing_subset(bits: int, present: frozenset[int]) -> int:
+    """The canonically first submask of ``bits`` not in ``present``, which
+    must exist.  The walk goes by size and then by ascending index tuple,
+    the canonical order, so every submask it passes is a distinct present
+    set, and it ends within ``len(present) + 1`` lookups."""
+    elements = [1 << i for i in range(bits.bit_length()) if bits >> i & 1]
+    for k in range(len(elements) + 1):
+        for combo in combinations(elements, k):
+            if sum(combo) not in present:
+                return sum(combo)
+    raise ValueError("every submask is present")
 
 
 def augmentation_within(family: SetFamily, i1: Subset, i2: Subset) -> bool:
@@ -112,30 +114,58 @@ def approx_exchange_within(
 
 def check_matroid(universe: Universe, family: SetFamily) -> CheckReport:
     """Classical independence axioms: empty set present, heredity over all
-    subsets, and augmentation between sets of different cardinality."""
+    subsets, and augmentation between sets of different cardinality.
+
+    No pair of members is scanned; each member costs work in proportion
+    to its own size plus a few rows of ``family.order``:
+
+    - Heredity (I2).  Lemma: the first member that lacks some subset is
+      the first member that lacks a subset one element smaller.  If M
+      lacks S, walk down from M to S one element at a time; the last set
+      on the walk still in the family is a member M' inside M, so M' is M
+      or comes before M in canonical order, and M' lacks a subset one
+      element smaller.  The witness is that member's canonically first
+      missing subset.
+    - Augmentation (I3).  Lemma: with ``addable`` the elements e outside
+      I1 such that I1 + e is a member, I1 augments from I2 exactly when I2
+      holds an element of ``addable``.  So the I2 that I1 fails on are the
+      members larger than I1 outside ``reach``, the OR of ``has[e]`` over
+      those elements, and the lowest such bit is the pair scan's witness.
+      ``addable`` of every member is read off one map built from every
+      member's subsets one element smaller.
+    """
     failures: list[AxiomFailure] = []
     empty = universe.empty()
     if empty not in family:
         failures.append(AxiomFailure("I1", {"missing": empty}))
-
-    def i2_failure() -> AxiomFailure | None:
-        for ind in family:
-            for sub in _subsets_canonical(ind.bits):
-                if not family.contains_bits(sub):
-                    return AxiomFailure("I2", {"I": ind, "I'": Subset(universe, sub)})
-        return None
-
-    def i3_failure() -> AxiomFailure | None:
-        for i1 in family:
-            for i2 in family:
-                if len(i1) < len(i2) and not augmentation_within(family, i1, i2):
-                    return AxiomFailure("I3", {"I1": i1, "I2": i2})
-        return None
-
-    for finder in (i2_failure, i3_failure):
-        failure = finder()
-        if failure is not None:
-            failures.append(failure)
+    members, present = family.members, family.bitset()
+    addable: dict[int, int] = {}
+    stuck = None
+    for m in members:
+        rest = m.bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            addable[m.bits ^ low] = addable.get(m.bits ^ low, 0) | low
+            if stuck is None and m.bits ^ low not in present:
+                stuck = m
+    if stuck is not None:
+        sub = _first_missing_subset(stuck.bits, present)
+        failures.append(AxiomFailure("I2", {"I": stuck, "I'": Subset(universe, sub)}))
+    order = family.order
+    has, larger, sizes = order.has, order.larger, order.sizes
+    for j, m in enumerate(members):
+        reach = 0
+        rest = addable.get(m.bits, 0)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reach |= has[low.bit_length() - 1]
+        fails = larger[sizes[j]] & ~reach
+        if fails:
+            i2 = members[(fails & -fails).bit_length() - 1]
+            failures.append(AxiomFailure("I3", {"I1": m, "I2": i2}))
+            break
     return CheckReport("matroid", passed=not failures, failures=tuple(failures))
 
 
