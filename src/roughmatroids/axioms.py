@@ -70,16 +70,12 @@ ApproxFn = Callable[[int], int]
 
 
 def _first_missing_subset(bits: int, present: frozenset[int]) -> int:
-    """The canonically first submask of ``bits`` not in ``present``, which
-    must exist.  The walk goes by size and then by ascending index tuple,
-    the canonical order, so every submask it passes is a distinct present
-    set, and it ends within ``len(present) + 1`` lookups."""
+    """The canonically first submask of ``bits`` not in ``present``.  The
+    walk is in canonical order (by size, then by ascending index tuple), so
+    every submask it passes is a distinct member of ``present``."""
     elements = [1 << i for i in range(bits.bit_length()) if bits >> i & 1]
-    for k in range(len(elements) + 1):
-        for combo in combinations(elements, k):
-            if sum(combo) not in present:
-                return sum(combo)
-    raise ValueError("every submask is present")
+    subsets = (sum(c) for k in range(len(elements) + 1) for c in combinations(elements, k))
+    return next(sub for sub in subsets if sub not in present)
 
 
 def augmentation_within(family: SetFamily, i1: Subset, i2: Subset) -> bool:

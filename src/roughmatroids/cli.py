@@ -143,24 +143,20 @@ def _cmd_definable(args):
 def _cmd_lattice(args):
     _, structure = fileio.load_structure(args.structure)
     diagram = build_lattice(definable_family(structure.neighborhoods))
-    if args.format == "dot":
-        return export_dot(diagram)
-    return fileio.lattice_payload(diagram)
+    return export_dot(diagram) if args.format == "dot" else fileio.lattice_payload(diagram)
 
 
 def _cmd_check(args):
     universe, structure = fileio.load_structure(args.structure)
     family = fileio.load_family(args.family, universe)
-    name = args.name
-    if name == "matroid":
+    if args.name == "matroid":
         return check_matroid(universe, family)
-    if isinstance(structure, Covering):
-        checks, other = CHECKS_ON_COVERING, "relation"
-    else:
-        checks, other = CHECKS_ON_RELATION, "covering"
-    if name not in checks:
-        raise fileio.InputFormatError(f"check {name!r} needs a {other} structure file")
-    return checks[name](structure, family)
+    covering = isinstance(structure, Covering)
+    checks = CHECKS_ON_COVERING if covering else CHECKS_ON_RELATION
+    if args.name not in checks:
+        kind = "relation" if covering else "covering"
+        raise fileio.InputFormatError(f"check {args.name!r} needs a {kind} structure file")
+    return checks[args.name](structure, family)
 
 
 def _cmd_uniform(args):
