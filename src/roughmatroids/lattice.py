@@ -49,7 +49,10 @@ class LatticeDiagram:
 
     def __post_init__(self):
         mem = self.family.members
+        nodes = range(len(mem))
         for i, j in self.edges:
+            if i not in nodes or j not in nodes:
+                raise ValueError(f"edge ({i}, {j}) names a node outside the family")
             if not mem[i] < mem[j]:
                 raise ValueError(f"edge ({i}, {j}) is not a strict inclusion")
 
@@ -65,12 +68,9 @@ class LatticeDiagram:
 def build_lattice(family: SetFamily) -> LatticeDiagram:
     """Hasse diagram of inclusion over a union/intersection-closed family.
 
-    After the closure gate the covers are read off the family's inclusion
-    order: the upper covers of member j are the members strictly above j
-    that lie strictly above no other member strictly above j.  Members are
-    in canonical order, so a strict subset has the lower index, and taking
-    the candidates in ascending order meets only covers; each clears the
-    members above itself.
+    After the closure gate the edges are the cover pairs of the family's
+    inclusion order (``MemberOrder.covers``), the same pairs that
+    ``check_closure`` reads its irreducible members from.
     """
     if len(family) == 0:
         raise NotALatticeError(
@@ -79,20 +79,10 @@ def build_lattice(family: SetFamily) -> LatticeDiagram:
     closure = check_closure(family)
     if not closure.passed:
         raise NotALatticeError(closure)
-    above = family.order.above
-    edges: list[tuple[int, int]] = []
-    for j in range(len(family)):
-        covers = rest = above[j]
-        while rest:
-            low = rest & -rest
-            k = low.bit_length() - 1
-            edges.append((j, k))
-            covers &= ~above[k]
-            rest = covers & ~(low | (low - 1))
     # The closure gate makes the total meet and join members, whatever
     # order the members are listed in.
     bottom, top = family.intersection_all(), family.union_all()
-    return LatticeDiagram(family, tuple(edges), bottom, top)
+    return LatticeDiagram(family, family.order.covers, bottom, top)
 
 
 def _first_law_failure(members, axiom, arity, holds):

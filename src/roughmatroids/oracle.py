@@ -358,6 +358,24 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
     reported informationally and never fails the suite.  Scans above the
     internal size gates fall back to sampling seeded from the budget.
 
+    On covering input four stages check theorems.  A covering's
+    neighborhood map is the successor map of a preorder (x before y when y
+    lies in N(x)), and a set is definable exactly when it is a down-set of
+    that preorder, that is, when it holds N(x) for each of its elements x:
+
+    - closure: down-sets are closed under union and intersection;
+    - lower-fixpoint equality: the lower approximation of X is the set of
+      x with N(x) inside X, and X is fixed exactly when it is a down-set;
+    - upper-fixpoint duality: the upper approximation is dual to the
+      lower one, so its fixpoints are the complements of the down-sets;
+    - extension biconditional: for e in D2 - D1, D1 + e is definable
+      exactly when N(e) - e lies inside D1, and N(e) lies inside D2, so
+      D1 + e is blocked exactly when N(e) meets D2 - D1 - e.
+
+    They stay as differential checks between two implementations: the
+    union-closure route that builds the definable family against the
+    approximation table and the neighborhood cells.
+
     Both approximations of every subset are computed once, into one table
     that the duality scan and the two fixpoint sets read.  The extension
     criterion compares, per pair, the gap elements that cannot be added to

@@ -3,7 +3,7 @@ plus the property law suites, one criterion per test.
 
 Run as a script to get one pass/fail line per criterion:
 
-    python tests/test_acceptance.py
+    PYTHONPATH=src python tests/test_acceptance.py
 
 Criterion 6-xh checks the claim that the upper-approximation fixpoints
 coincide with the definable family in the form that is true: they are the

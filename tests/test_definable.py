@@ -240,6 +240,23 @@ class TestDefinableFamily:
         assert covering.universe.full() in family
 
 
+class TestSubfamily:
+    def test_masks_select_members_by_index(self, chain_covering, chain_universe):
+        # D = {}, {b}, {a, b}, {b, c}, {a, b, c}
+        family = definable_family(neighborhoods_of_covering(chain_covering))
+        assert family.subfamily(0b00110) == SetFamily.from_labels(
+            chain_universe, [["b"], ["a", "b"]]
+        )
+        assert family.subfamily(0b11111) == family
+        assert len(family.subfamily(0)) == 0
+
+    @pytest.mark.parametrize("mask", [-1, -2, 1 << 5, 1 << 40])
+    def test_mask_outside_the_member_indices_is_refused(self, chain_covering, mask):
+        family = definable_family(neighborhoods_of_covering(chain_covering))
+        with pytest.raises(ValueError):
+            family.subfamily(mask)
+
+
 class TestFixpointFamilies:
     def test_lower_equals_definable_on_hex(self, hex_covering):
         nm = neighborhoods_of_covering(hex_covering)

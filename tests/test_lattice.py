@@ -121,6 +121,12 @@ class TestBuildLattice:
                 LatticeDiagram(family, ((0, 1), edge), bottom, top)
         assert LatticeDiagram(family, ((0, 1),), bottom, top).edges == ((0, 1),)
 
+    @pytest.mark.parametrize("edge", [(0, -1), (0, 9), (-5, 4), (5, 4)])
+    def test_diagram_rejects_an_edge_outside_the_family(self, chain_covering, edge):
+        family = definable_family(neighborhoods_of_covering(chain_covering))
+        with pytest.raises(ValueError, match="outside the family"):
+            LatticeDiagram(family, (edge,), family.members[0], family.members[-1])
+
 
 class TestLatticeLaws:
     def test_hex_laws_pass(self, hex_covering):

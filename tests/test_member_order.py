@@ -282,11 +282,34 @@ class TestOrder:
         assert order.above[4] == 0
         assert order.over[0b101] == 0b10000
 
+    def test_tables_match_a_per_element_construction_past_one_block(self):
+        def row(flags):
+            return sum(1 << j for j, flag in enumerate(flags) if flag)
+
+        rng = random.Random(3)
+        n = 14
+        u = Universe(tuple(f"x{i}" for i in range(n)))
+        bits = rng.sample(range(1 << n), 2 * definable._BLOCK + 77)
+        members = SetFamily.from_bits(u, bits).members
+        masks = [m.bits for m in members]
+        own = [row(a >> e & 1 for a in masks) for e in range(n)]
+        assert definable._columns(masks, n) == own
+        grown = [a | rng.getrandbits(n) for a in masks]
+        for images in (None, grown):
+            order = definable.MemberOrder(n, members, images)
+            seen = masks if images is None else images
+            assert order.has == [row(a >> e & 1 for a in seen) for e in range(n)]
+            assert order.larger == [row(a.bit_count() > s for a in seen) for s in range(n + 1)]
+            # below reads the members' own rows, whatever the images
+            for j in rng.sample(range(len(masks)), 40):
+                assert order.below[j] == row(a & ~masks[j] == 0 for a in masks)
+
     def test_order_is_built_once_and_freed_with_its_family(self):
         dfam = definable_family(neighborhoods_of_covering(hex_covering()))
         order = dfam.order
         assert dfam.order is order
         _check_rough_given("rough-cov", order, (1 << 16) - 1, TAGS)
+        assert order.covers is order.covers
         gone = weakref.ref(order)
         del dfam, order
         # no reference cycle keeps the order: it goes without a collection
