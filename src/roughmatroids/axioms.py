@@ -60,6 +60,7 @@ from .core import (
     Universe,
     lower_approx_bits,
     neighborhoods_of_covering,
+    require_same_universe,
     successor_neighborhoods,
     upper_approx_bits,
 )
@@ -129,9 +130,12 @@ def check_matroid(universe: Universe, family: SetFamily) -> CheckReport:
       those elements, and the lowest such bit is the pair scan's witness.
       ``addable`` of every member is read off one map built from every
       member's subsets one element smaller.
+
+    A family on another universe raises ``UniverseMismatchError``.
     """
     failures: list[AxiomFailure] = []
     empty = universe.empty()
+    require_same_universe(family, empty)
     if empty not in family:
         failures.append(AxiomFailure("I1", {"missing": empty}))
     members, present = family.members, family.bitset()
@@ -183,8 +187,8 @@ def _check_rough_given(
 ) -> CheckReport:
     """The rough-matroid kernel on a candidate given as ``picked``, a mask
     over the member indices of the definable family whose order is
-    ``order``: the empty set (member 0), heredity over definable subsets
-    and exchange, each on the members' images."""
+    ``order``: the empty set (member 0, the least under ``SetFamily``),
+    heredity over definable subsets and exchange, on the members' images."""
     t1, t2, t3 = tags
     members, below = order.members, order.below
     failures: list[AxiomFailure] = []

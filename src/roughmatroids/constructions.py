@@ -212,12 +212,9 @@ def check_ci3_prime(covering: Covering, family: SetFamily) -> CheckReport:
     in place of the exchange axiom.  The two checkers' verdicts agreeing on
     every input is part of the tested law suite.
 
-    The maximal members inside a definable set d are found from the top:
-    in canonical order a strict superset has the higher index, so the
-    highest picked member inside d is maximal, and clearing its own
-    ``below`` row (itself included) leaves only members not inside it, whose
-    highest is maximal again.  The walk visits the maximal members alone,
-    highest first; the witness is read off them lowest first.
+    The maximal members inside a definable set d come from
+    ``MemberOrder.maximal``, which reads them off the order contract of
+    ``SetFamily``; the witness is read off them lowest first.
 
     Two kinds of d cannot fail and are skipped before the walk: a d that
     is itself picked, which is its own only maximal member, and a d whose
@@ -241,12 +238,7 @@ def check_ci3_prime(covering: Covering, family: SetFamily) -> CheckReport:
             continue
         if not rest & larger[sizes[(rest & -rest).bit_length() - 1]]:
             continue
-        maximal = []
-        while rest:
-            j = rest.bit_length() - 1
-            maximal.append(j)
-            rest &= ~below[j]
-        maximal.reverse()
+        maximal = order.maximal(rest)[::-1]
         size = sizes[maximal[0]]
         other = next((j for j in maximal if sizes[j] != size), None)
         if other is not None:

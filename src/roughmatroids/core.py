@@ -188,8 +188,7 @@ class Subset:
 
     @property
     def canonical_key(self) -> tuple[int, tuple[int, ...]]:
-        """Sort key realising the canonical order: cardinality, then the
-        ascending member-index tuple."""
+        """``canonical_mask_key`` of this subset's mask."""
         return canonical_mask_key(self.bits)
 
     def notation(self) -> str:
@@ -200,8 +199,14 @@ class Subset:
 
 
 def canonical_mask_key(bits: int) -> tuple[int, tuple[int, ...]]:
-    """Canonical sort key for a raw membership mask."""
-    return (bits.bit_count(), tuple(i for i in range(bits.bit_length()) if (bits >> i) & 1))
+    """Canonical sort key for a raw membership mask, and the one definition
+    of the order ``SetFamily`` keeps: the size, then the ascending element
+    indices, read one set bit at a time."""
+    elements = []
+    while bits:
+        elements.append((bits & -bits).bit_length() - 1)
+        bits &= bits - 1
+    return (len(elements), tuple(elements))
 
 
 @dataclass(frozen=True)

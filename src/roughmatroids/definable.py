@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import compress, repeat
+from itertools import compress, pairwise, repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 from weakref import WeakValueDictionary
@@ -43,10 +43,12 @@ _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 class SetFamily:
     """A deduplicated family of subsets in canonical order.
 
-    Canonical order is by cardinality, then by the ascending member-index
-    tuple; it matches the declaration order of the universe and makes every
-    report and serialization reproducible.  Members given in another order
-    are sorted into it.
+    Canonical order is the order of ``core.canonical_mask_key``: by
+    cardinality, then by the ascending member-index tuple, so every report
+    and serialization is reproducible.  Members given in another order are
+    sorted into it.  The package relies on three consequences: the least
+    member, when there is one, comes first, the greatest comes last, and a
+    strict superset always has the higher index.
     """
 
     universe: Universe
@@ -61,8 +63,9 @@ class SetFamily:
         object.__setattr__(self, "_bitset", frozenset(m.bits for m in self.members))
         if len(self._bitset) != len(self.members):
             raise ValueError("family members must be distinct")
-        if not _in_canonical_order(m.bits for m in self.members):
-            ordered = tuple(sorted(self.members, key=lambda s: s.canonical_key))
+        key = attrgetter("canonical_key")
+        if not all(a < b for a, b in pairwise(map(key, self.members))):
+            ordered = tuple(sorted(self.members, key=key))
             object.__setattr__(self, "members", ordered)
 
     @classmethod
@@ -140,29 +143,6 @@ class SetFamily:
         for m in self.members:
             bits |= m.bits
         return Subset(self.universe, bits)
-
-    def intersection_all(self) -> Subset:
-        if not self.members:
-            return self.universe.full()
-        bits = (1 << self.universe.size) - 1
-        for m in self.members:
-            bits &= m.bits
-        return Subset(self.universe, bits)
-
-
-def _in_canonical_order(masks: Iterable[int]) -> bool:
-    """Whether the masks ascend in canonical order: by popcount, and at
-    equal popcount a before b exactly when the lowest element of a ^ b
-    lies in a."""
-    prev = None
-    for b in masks:
-        if prev is not None:
-            diff = prev ^ b
-            pk, bk = prev.bit_count(), b.bit_count()
-            if pk > bk or (pk == bk and not prev & diff & -diff):
-                return False
-        prev = b
-    return True
 
 
 # Bits of memoised rows one table of a MemberOrder may keep, however large
@@ -255,25 +235,34 @@ class MemberOrder:
         self.below = _Rows(lambda j: _all_of(lacks, full, universe & ~sets[j]), room)
         self.above = _Rows(lambda j: over[images[j]] & larger[sizes[j]], room)
 
+    def maximal(self, mask: int) -> list[int]:
+        """The maximal members among those ``mask`` selects, highest first.
+
+        By the order contract of ``SetFamily`` the highest selected member
+        is maximal; clearing its ``below`` row leaves the selected members
+        not inside it, whose highest is maximal again."""
+        below = self.below
+        found = []
+        while mask:
+            j = mask.bit_length() - 1
+            found.append(j)
+            mask &= ~below[j]
+        return found
+
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """The cover pairs (j, k), ascending: member j lies strictly inside
         member k with no member between them.
 
-        Valid for any family in canonical order, closed or not, whatever
-        the images.  A strict superset has the higher index, so the
-        highest member strictly inside k is a lower cover of k; clearing
-        its ``below`` row leaves the members not inside it, whose highest
-        is a lower cover again.
+        The lower covers of k are the maximal members strictly inside it,
+        so this holds for any family in canonical order, closed or not,
+        whatever the images.
         """
         below = self.below
         ups: list[list[int]] = [[] for _ in self.members]
         for k in range(len(ups)):
-            rest = below[k] & ~(1 << k)
-            while rest:
-                j = rest.bit_length() - 1
+            for j in self.maximal(below[k] & ~(1 << k)):
                 ups[j].append(k)
-                rest &= ~below[j]
         return tuple((j, k) for j, ks in enumerate(ups) for k in ks)
 
 

@@ -40,6 +40,10 @@ class LatticeDiagram:
     ``edges`` holds index pairs (lower, upper) into ``family.members``; each
     pair is a covering pair of inclusion restricted to the family, listed
     bottom-to-top in canonical node order.
+
+    A diagram raises ValueError unless ``bottom`` is the first member and
+    lies inside every member, ``top`` is the last and holds every member
+    (so an empty family has none), and every edge is a strict inclusion.
     """
 
     family: SetFamily
@@ -49,6 +53,10 @@ class LatticeDiagram:
 
     def __post_init__(self):
         mem = self.family.members
+        if not mem or (self.bottom, self.top) != (mem[0], mem[-1]) or any(
+            self.bottom.bits & ~m.bits or m.bits & ~self.top.bits for m in mem
+        ):
+            raise ValueError("bottom and top must be the least and greatest members")
         nodes = range(len(mem))
         for i, j in self.edges:
             if i not in nodes or j not in nodes:
@@ -79,10 +87,10 @@ def build_lattice(family: SetFamily) -> LatticeDiagram:
     closure = check_closure(family)
     if not closure.passed:
         raise NotALatticeError(closure)
-    # The closure gate makes the total meet and join members, whatever
-    # order the members are listed in.
-    bottom, top = family.intersection_all(), family.union_all()
-    return LatticeDiagram(family, family.order.covers, bottom, top)
+    # The closure gate makes the total meet and join members, so they are
+    # the least and greatest members, first and last in canonical order.
+    members = family.members
+    return LatticeDiagram(family, family.order.covers, members[0], members[-1])
 
 
 def _first_law_failure(members, axiom, arity, holds):
@@ -132,14 +140,13 @@ def check_lattice_laws(diagram: LatticeDiagram) -> CheckReport:
 def check_atomicity(diagram: LatticeDiagram) -> CheckReport:
     """Report whether every member is the join of the atoms below it.
 
-    Atoms are the covers of the bottom element.  The verdict is
-    informational: a non-atomic definable-set lattice is a legitimate
-    finding, not an input error.  The atom list is always included in the
+    Atoms are the covers of the bottom element, which ``LatticeDiagram``
+    holds to member 0.  The verdict is informational: a non-atomic
+    definable-set lattice is a legitimate finding, not an input error.  The atom list is always included in the
     report details.
     """
     members = diagram.family.members
-    bottom_idx = members.index(diagram.bottom)
-    atom_idx = sorted(j for i, j in diagram.edges if i == bottom_idx)
+    atom_idx = sorted(j for i, j in diagram.edges if i == 0)
     atoms = tuple(members[j] for j in atom_idx)
     failures: list[AxiomFailure] = []
     for m in members:

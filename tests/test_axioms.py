@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from roughmatroids import (
     Covering,
     SetFamily,
     Universe,
+    UniverseMismatchError,
     check_lower_rough_matroid_covering,
     check_lower_rough_matroid_relation,
     check_matroid,
@@ -59,6 +61,13 @@ class TestCheckMatroid:
         report = check_matroid(mixed4_universe, SetFamily.from_labels(mixed4_universe, [["a"]]))
         assert not report.passed
         assert report.failed_axiom == "I1"
+
+    def test_family_on_another_universe_is_rejected(self):
+        wider = Universe(("a", "b", "c"))
+        family = SetFamily.from_labels(wider, [[], ["a"]])
+        assert check_matroid(wider, family).passed
+        with pytest.raises(UniverseMismatchError):
+            check_matroid(Universe(("a", "b")), family)
 
     def test_heredity_failure_witnessed(self, mixed4_universe):
         family = SetFamily.from_labels(mixed4_universe, [[], ["a", "b"]])

@@ -25,13 +25,15 @@ For relations the lattice claim is specific to coverings: union closure
 never fails, intersection closure fails on 3 of the 530.
 
 The module also checks ``MemberOrder.covers`` against a brute-force cover
-relation and ``check_closure`` against a pair scan, verdict and witness,
-on every one of these definable families, and that ``check_closure``
-combines the members with the irreducible members alone.
+relation, ``MemberOrder.maximal`` against a brute-force maximal-member
+search on seeded selections, and ``check_closure`` against a pair scan,
+verdict and witness, on every one of these definable families, and that
+``check_closure`` combines the members with the irreducible members alone.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from functools import cache
 
@@ -150,6 +152,18 @@ def brute_covers(family):
     )
 
 
+def brute_maximal(family, mask):
+    """The selected members inside no other selected member, highest
+    first."""
+    masks = [m.bits for m in family.members]
+    picked = [j for j in range(len(masks)) if mask >> j & 1]
+    return [
+        j
+        for j in reversed(picked)
+        if not any(k != j and masks[j] & ~masks[k] == 0 for k in picked)
+    ]
+
+
 def pair_scan_closure(family):
     """Closure as a scan over member pairs i <= j, unions before
     intersections, naming the first pair whose result is missing."""
@@ -248,8 +262,12 @@ def test_intersection_closure_fails_on_three_small_relations():
 
 
 def test_covers_match_the_brute_force_cover_relation():
+    rng = random.Random(4)
     for family in table_families():
         assert family.order.covers == brute_covers(family)
+        full = (1 << len(family)) - 1
+        for mask in {0, full, *(rng.randrange(full + 1) for _ in range(6))}:
+            assert family.order.maximal(mask) == brute_maximal(family, mask)
 
 
 def test_closure_reports_match_the_pair_scan():

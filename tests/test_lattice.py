@@ -127,6 +127,33 @@ class TestBuildLattice:
         with pytest.raises(ValueError, match="outside the family"):
             LatticeDiagram(family, (edge,), family.members[0], family.members[-1])
 
+    @pytest.mark.parametrize(
+        "case", ["non-member bottom", "swapped", "other universe", "empty family", "no least"]
+    )
+    def test_diagram_holds_bottom_and_top_to_the_least_and_greatest_member(
+        self, chain_covering, case
+    ):
+        # D = {}, {b}, {a, b}, {b, c}, {a, b, c}
+        family = definable_family(neighborhoods_of_covering(chain_covering))
+        u = family.universe
+        bottom, top = family.members[0], family.members[-1]
+        diagram = LatticeDiagram(family, family.order.covers, bottom, top)
+        assert check_atomicity(diagram).details["atoms"] == ["{b}"]
+        if case == "non-member bottom":
+            bottom = u.subset(["a"])
+        elif case == "swapped":
+            bottom, top = top, bottom
+        elif case == "other universe":
+            bottom = Universe(("a", "b", "c", "d")).empty()
+        elif case == "empty family":
+            family = SetFamily(u, ())
+        else:
+            # {a} and {b}: first and last, but neither least nor greatest
+            family = SetFamily.from_labels(u, [["a"], ["b"]])
+            bottom, top = family.members[0], family.members[-1]
+        with pytest.raises(ValueError, match="bottom"):
+            LatticeDiagram(family, (), bottom, top)
+
 
 class TestLatticeLaws:
     def test_hex_laws_pass(self, hex_covering):

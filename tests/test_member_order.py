@@ -43,7 +43,7 @@ from roughmatroids import (
     successor_neighborhoods,
 )
 from roughmatroids import definable, oracle
-from roughmatroids.core import lower_approx_bits, upper_approx_bits
+from roughmatroids.core import canonical_mask_key, lower_approx_bits, upper_approx_bits
 from roughmatroids.axioms import _check_rough_given
 from roughmatroids.fileio import dumps, report_payload
 from roughmatroids.oracle import _subfamily
@@ -222,6 +222,16 @@ def test_approximation_checkers_match_the_scan(check):
     assert compared >= 400
 
 
+def positional_key(bits):
+    """The canonical key read position by position: the size, then every
+    index up to the highest set bit that holds an element."""
+    return (bits.bit_count(), tuple(i for i in range(bits.bit_length()) if (bits >> i) & 1))
+
+
+def sparse_masks(rng, width, count):
+    return [sum(1 << i for i in rng.sample(range(width), rng.randrange(9))) for _ in range(count)]
+
+
 class TestCanonicalOrder:
     def test_members_out_of_order_are_sorted(self):
         u = Universe(("a", "b"))
@@ -230,6 +240,19 @@ class TestCanonicalOrder:
         assert family == twin
         assert family.members == twin.members
         assert [m.bits for m in family] == [0, 1, 2, 3]
+        rng = random.Random(11)
+        with pytest.warns(UserWarning):
+            wide = Universe(tuple(f"x{i}" for i in range(1024)))
+        for universe, masks in ((u, range(4)), (wide, set(sparse_masks(rng, 1024, 500)))):
+            ordered = sorted(masks, key=positional_key)
+            shuffled = rng.sample(ordered, len(ordered))
+            family = SetFamily(universe, tuple(Subset(universe, b) for b in shuffled))
+            assert [m.bits for m in family] == ordered
+
+    def test_key_is_the_size_then_the_ascending_indices(self):
+        rng = random.Random(16)
+        for bits in [*range(1 << 10), *sparse_masks(rng, 1024, 5000)]:
+            assert canonical_mask_key(bits) == positional_key(bits)
 
     def test_equal_sizes_order_by_lowest_differing_element(self):
         u = Universe(tuple("abcd"))
