@@ -166,7 +166,7 @@ def check_matroid(universe: Universe, family: SetFamily) -> CheckReport:
             i2 = members[(fails & -fails).bit_length() - 1]
             failures.append(AxiomFailure("I3", {"I1": m, "I2": i2}))
             break
-    return CheckReport("matroid", passed=not failures, failures=tuple(failures))
+    return CheckReport("matroid", failures=tuple(failures))
 
 
 def definability_report(check: str, dfam: SetFamily, family: SetFamily) -> CheckReport:
@@ -175,7 +175,7 @@ def definability_report(check: str, dfam: SetFamily, family: SetFamily) -> Check
     stray = next(m for m in family if m not in dfam)
     note = "candidate family must consist of definable sets"
     failure = AxiomFailure("definability", {"member": stray}, note=note)
-    return CheckReport(check, passed=False, failures=(failure,))
+    return CheckReport(check, failures=(failure,))
 
 
 def _check_rough_given(
@@ -226,7 +226,7 @@ def _check_rough_given(
                 j2 = (cand & -cand).bit_length() - 1
                 failures.append(AxiomFailure(t3, {"I1": members[j1], "I2": members[j2]}))
                 break
-    return CheckReport(check, passed=not failures, failures=tuple(failures))
+    return CheckReport(check, failures=tuple(failures))
 
 
 def _check_on(
@@ -286,11 +286,10 @@ def check_matroid_condition(covering: Covering, family: SetFamily) -> CheckRepor
     if not rough.passed:
         return CheckReport(
             "matroid-cond",
-            passed=False,
             failures=(
                 AxiomFailure(
                     "precondition",
-                    dict(rough.witness or {}),
+                    dict(rough.witness),
                     note=f"family is not a rough matroid ({rough.failed_axiom} fails)",
                 ),
             ),
@@ -304,9 +303,8 @@ def check_matroid_condition(covering: Covering, family: SetFamily) -> CheckRepor
     ]
     is_matroid = check_matroid(covering.universe, family).passed
     singleton_support = not offending
-    agree = is_matroid == singleton_support
     failures = ()
-    if not agree:
+    if is_matroid != singleton_support:
         witness = {"is_matroid": is_matroid, "singleton_neighborhoods": singleton_support}
         if offending:
             witness["element"] = offending[0]
@@ -315,7 +313,6 @@ def check_matroid_condition(covering: Covering, family: SetFamily) -> CheckRepor
         )
     return CheckReport(
         "matroid-cond",
-        passed=agree,
         failures=failures,
         details={
             "is_matroid": is_matroid,

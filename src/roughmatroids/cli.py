@@ -293,12 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("structure")
     p.add_argument("--start", type=int, default=0, help="resume from this subfamily index (0..2^|D|)")
     p.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1 (capped at the CPU count)")
-    p.add_argument("--max-family-base", type=int, default=18)
+    p.add_argument("--max-family-base", type=int, default=EnumerationBudget.max_family_base)
 
     p = add("cross-check", _cmd_cross_check, ("json", "text"), help="full law suite for one covering")
     p.add_argument("structure")
     p.add_argument("--seed", type=int, required=True, help="seed for sampled scans")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=int, default=EnumerationBudget.trials)
 
     return parser
 

@@ -85,7 +85,6 @@ def check_uniform_proposition(covering: Covering, r: int) -> CheckReport:
         notes = "rough matroid without singleton neighborhoods: the condition is sufficient only"
     return CheckReport(
         "uniform",
-        passed=not failures,
         failures=tuple(failures),
         notes=notes,
         details={
@@ -245,4 +244,4 @@ def check_ci3_prime(covering: Covering, family: SetFamily) -> CheckReport:
             witness = {"D": members[d], "I1": members[maximal[0]], "I2": members[other]}
             failures.append(AxiomFailure("CI3'", witness))
             break
-    return CheckReport("ci3prime", passed=not failures, failures=tuple(failures))
+    return CheckReport("ci3prime", failures=tuple(failures))

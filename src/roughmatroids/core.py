@@ -324,9 +324,6 @@ class NeighborhoodMap:
 
     universe: Universe
     cells: tuple[Subset, ...]
-    _cell_bits: tuple[int, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
 
     def __post_init__(self):
         if len(self.cells) != self.universe.size:
@@ -334,11 +331,10 @@ class NeighborhoodMap:
         for cell in self.cells:
             if cell.universe != self.universe:
                 raise UniverseMismatchError("neighborhood cell on a different universe")
-        object.__setattr__(self, "_cell_bits", tuple(c.bits for c in self.cells))
 
-    @property
+    @cached_property
     def cell_bits(self) -> tuple[int, ...]:
-        return self._cell_bits
+        return tuple(c.bits for c in self.cells)
 
     def neighborhood(self, label: str) -> Subset:
         return self.cells[self.universe.index(label)]

@@ -13,7 +13,7 @@ holds at most 2^n sets and is bounded at 2^SCAN_LIMIT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress, pairwise, repeat
 from operator import attrgetter
@@ -53,15 +53,13 @@ class SetFamily:
 
     universe: Universe
     members: tuple[Subset, ...]
-    _bitset: frozenset[int] = field(init=False, repr=False, compare=False, default=frozenset())
 
     def __post_init__(self):
         u = self.universe
         for m in self.members:
             if m.universe is not u and m.universe != u:
                 raise UniverseMismatchError("family member on a different universe")
-        object.__setattr__(self, "_bitset", frozenset(m.bits for m in self.members))
-        if len(self._bitset) != len(self.members):
+        if len(self.bitset()) != len(self.members):
             raise ValueError("family members must be distinct")
         key = attrgetter("canonical_key")
         if not all(a < b for a, b in pairwise(map(key, self.members))):
@@ -81,10 +79,10 @@ class SetFamily:
         return cls.of(universe, (universe.subset(m) for m in members))
 
     def __contains__(self, item: Subset) -> bool:
-        return item.universe == self.universe and item.bits in self._bitset
+        return item.universe == self.universe and item.bits in self._bits
 
     def contains_bits(self, bits: int) -> bool:
-        return bits in self._bitset
+        return bits in self._bits
 
     def __iter__(self) -> Iterator[Subset]:
         return iter(self.members)
@@ -93,7 +91,11 @@ class SetFamily:
         return len(self.members)
 
     def bitset(self) -> frozenset[int]:
-        return self._bitset
+        return self._bits
+
+    @cached_property
+    def _bits(self) -> frozenset[int]:
+        return frozenset(m.bits for m in self.members)
 
     @cached_property
     def order(self) -> MemberOrder:
@@ -108,10 +110,9 @@ class SetFamily:
     def index_mask(self, family: SetFamily) -> int | None:
         """``family`` as a mask over this family's member indices (bit i
         for ``members[i]``), or None when some member of it is not a
-        member here."""
-        u = self.universe
-        if family.members and family.universe is not u and family.universe != u:
-            return None
+        member here.  A family on another universe raises
+        ``UniverseMismatchError``."""
+        require_same_universe(self, family)
         positions = self._positions
         mask = 0
         for m in family.members:
@@ -135,7 +136,6 @@ class SetFamily:
         family = object.__new__(SetFamily)
         object.__setattr__(family, "universe", self.universe)
         object.__setattr__(family, "members", members)
-        object.__setattr__(family, "_bitset", frozenset(map(attrgetter("bits"), members)))
         return family
 
     def union_all(self) -> Subset:
@@ -399,4 +399,4 @@ def check_closure(family: SetFamily) -> CheckReport:
                 witness = {"x": members[i], "y": members[j], "missing": missing}
                 failures.append(AxiomFailure(tag, witness))
                 break
-    return CheckReport("closure", passed=not failures, failures=tuple(failures))
+    return CheckReport("closure", failures=tuple(failures))

@@ -1,13 +1,14 @@
 """Hasse diagrams over inclusion, lattice law checks, and DOT export.
 
 A family closed under union and intersection is a lattice under inclusion
-with join = union and meet = intersection.  ``build_lattice`` requires that
-closure up front (the closure witness rides along in the error), reads the
-cover edges off the family's inclusion order (``SetFamily.order``, the
-same ``MemberOrder`` the rough-matroid checkers use), and designates the
-least and greatest members.  The law checkers scan every pair and
-triple and report the first counterexample in canonical order; the
-atomicity check is informational and returns the atom list either way.
+with join = union and meet = intersection.  A ``LatticeDiagram`` holds
+such a family and nothing else: building one checks the closure (the
+closure witness rides along in the error), and the cover edges, bottom
+and top are read off the family, the edges from its inclusion order
+(``SetFamily.order``, the same ``MemberOrder`` the rough-matroid checkers
+use).  The law checkers scan every pair and triple and report the first
+counterexample in canonical order; the atomicity check is informational
+and returns the atom list either way.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from itertools import compress, count, product, starmap
 from operator import not_
 
-from .core import Subset
+from .core import LawViolationError, Subset
 from .definable import SetFamily, check_closure
 from .report import AxiomFailure, CheckReport
 
@@ -26,47 +27,62 @@ class NotALatticeError(ValueError):
 
     def __init__(self, report: CheckReport):
         self.report = report
-        witness = report.witness or {}
+        failure = report.failures[0]
         parts = ", ".join(
-            f"{k}={v.notation() if isinstance(v, Subset) else v}" for k, v in witness.items()
+            f"{k}={v.notation() if isinstance(v, Subset) else v}"
+            for k, v in failure.witness.items()
         )
-        super().__init__(f"family is not a lattice: {report.failed_axiom} fails ({parts})")
+        super().__init__(
+            f"family is not a lattice: {failure.axiom} fails ({parts or failure.note})"
+        )
 
 
 @dataclass(frozen=True)
 class LatticeDiagram:
-    """Nodes, cover edges, and the designated bottom and top.
+    """The Hasse diagram of a union/intersection-closed family.
 
-    ``edges`` holds index pairs (lower, upper) into ``family.members``; each
-    pair is a covering pair of inclusion restricted to the family, listed
-    bottom-to-top in canonical node order.
+    The family fixes the rest.  ``edges`` are the cover pairs of its
+    inclusion order (``MemberOrder.covers``): index pairs (lower, upper)
+    into ``family.members``, listed bottom-to-top in canonical node order.
+    The closure makes the total meet and join members, so ``bottom`` and
+    ``top`` are the least and greatest members, first and last in
+    canonical order.
 
-    A diagram raises ValueError unless ``bottom`` is the first member and
-    lies inside every member, ``top`` is the last and holds every member
-    (so an empty family has none), and every edge is a strict inclusion.
+    A diagram raises NotALatticeError for an empty family and for one that
+    fails ``check_closure``, and LawViolationError if a cover edge is not
+    a strict inclusion.
     """
 
     family: SetFamily
-    edges: tuple[tuple[int, int], ...]
-    bottom: Subset
-    top: Subset
 
     def __post_init__(self):
-        mem = self.family.members
-        if not mem or (self.bottom, self.top) != (mem[0], mem[-1]) or any(
-            self.bottom.bits & ~m.bits or m.bits & ~self.top.bits for m in mem
-        ):
-            raise ValueError("bottom and top must be the least and greatest members")
-        nodes = range(len(mem))
+        family = self.family
+        if len(family) == 0:
+            failure = AxiomFailure("closure", {}, note="empty family has no bottom element")
+            raise NotALatticeError(CheckReport("closure", (failure,)))
+        closure = check_closure(family)
+        if not closure.passed:
+            raise NotALatticeError(closure)
+        mem = family.members
         for i, j in self.edges:
-            if i not in nodes or j not in nodes:
-                raise ValueError(f"edge ({i}, {j}) names a node outside the family")
             if not mem[i] < mem[j]:
-                raise ValueError(f"edge ({i}, {j}) is not a strict inclusion")
+                raise LawViolationError(f"cover edge ({i}, {j}) is not a strict inclusion")
 
     @property
     def nodes(self) -> tuple[Subset, ...]:
         return self.family.members
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return self.family.order.covers
+
+    @property
+    def bottom(self) -> Subset:
+        return self.family.members[0]
+
+    @property
+    def top(self) -> Subset:
+        return self.family.members[-1]
 
     def edge_sets(self) -> tuple[tuple[Subset, Subset], ...]:
         mem = self.family.members
@@ -74,23 +90,9 @@ class LatticeDiagram:
 
 
 def build_lattice(family: SetFamily) -> LatticeDiagram:
-    """Hasse diagram of inclusion over a union/intersection-closed family.
-
-    After the closure gate the edges are the cover pairs of the family's
-    inclusion order (``MemberOrder.covers``), the same pairs that
-    ``check_closure`` reads its irreducible members from.
-    """
-    if len(family) == 0:
-        raise NotALatticeError(
-            CheckReport("closure", passed=False, notes="empty family has no bottom element")
-        )
-    closure = check_closure(family)
-    if not closure.passed:
-        raise NotALatticeError(closure)
-    # The closure gate makes the total meet and join members, so they are
-    # the least and greatest members, first and last in canonical order.
-    members = family.members
-    return LatticeDiagram(family, family.order.covers, members[0], members[-1])
+    """Hasse diagram of inclusion over a union/intersection-closed family;
+    ``LatticeDiagram`` gates on the closure."""
+    return LatticeDiagram(family)
 
 
 def _first_law_failure(members, axiom, arity, holds):
@@ -134,7 +136,7 @@ def check_lattice_laws(diagram: LatticeDiagram) -> CheckReport:
         failure = _first_law_failure(members, axiom, arity, holds)
         if failure is not None:
             failures.append(failure)
-    return CheckReport("lattice-laws", passed=not failures, failures=tuple(failures))
+    return CheckReport("lattice-laws", failures=tuple(failures))
 
 
 def check_atomicity(diagram: LatticeDiagram) -> CheckReport:
@@ -165,7 +167,6 @@ def check_atomicity(diagram: LatticeDiagram) -> CheckReport:
             break
     return CheckReport(
         "atomicity",
-        passed=not failures,
         failures=tuple(failures),
         details={"atoms": [a.notation() for a in atoms]},
     )

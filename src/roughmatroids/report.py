@@ -1,9 +1,9 @@
 """Verdicts with replayable witnesses.
 
 Every checker in this package reports through one type.  A failed check
-always carries at least one witness: a concrete instantiation of the failed
-axiom's quantifiers, named as in the axiom, so the failure can be replayed
-against the axiom predicate directly.  Checkers evaluate every axiom and
+always carries at least one failure.  Its witness is a concrete
+instantiation of the failed axiom's quantifiers, named as in the axiom, so
+the failure can be replayed against the axiom predicate directly.  Checkers evaluate every axiom and
 list each failed one with its canonically smallest witness; the first entry
 is the primary failure.
 """
@@ -25,15 +25,16 @@ class AxiomFailure:
 
 @dataclass(frozen=True)
 class CheckReport:
+    """One verdict: it passes exactly when it lists no failure."""
+
     check: str
-    passed: bool
     failures: tuple[AxiomFailure, ...] = ()
     notes: str = ""
     details: Mapping[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.passed and not self.failures and not self.notes:
-            raise ValueError("a fail verdict needs a witness or a note")
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     @property
     def failed_axiom(self) -> str | None:

@@ -13,6 +13,7 @@ from roughmatroids import (
     SetFamily,
     Universe,
     UniverseMismatchError,
+    check_ci3_prime,
     check_lower_rough_matroid_covering,
     check_lower_rough_matroid_relation,
     check_matroid,
@@ -68,6 +69,23 @@ class TestCheckMatroid:
         assert check_matroid(wider, family).passed
         with pytest.raises(UniverseMismatchError):
             check_matroid(Universe(("a", "b")), family)
+
+    @pytest.mark.parametrize("members", [[], [[], ["a"]]])
+    @pytest.mark.parametrize(
+        "checker",
+        [
+            check_rough_matroid_covering,
+            check_lower_rough_matroid_covering,
+            check_upper_rough_matroid_covering,
+            check_ci3_prime,
+            check_matroid_condition,
+        ],
+    )
+    def test_covering_checkers_reject_a_family_on_another_universe(self, checker, members):
+        covering = Covering.from_labels(Universe(("a", "b")), [["a"], ["b"]])
+        family = SetFamily.from_labels(Universe(("a", "b", "c")), members)
+        with pytest.raises(UniverseMismatchError):
+            checker(covering, family)
 
     def test_heredity_failure_witnessed(self, mixed4_universe):
         family = SetFamily.from_labels(mixed4_universe, [[], ["a", "b"]])

@@ -205,6 +205,24 @@ class TestSuccessorNeighborhoods:
         assert successor_neighborhoods(rel4) is first
 
 
+class TestNeighborhoodMap:
+    def test_cell_bits_are_the_cell_masks(self, hex_covering):
+        nm = neighborhoods_of_covering(hex_covering)
+        assert nm.cell_bits == tuple(cell.bits for cell in nm.cells)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_rejects_a_cell_count_other_than_the_universe_size(self, count):
+        u = Universe(("a", "b"))
+        with pytest.raises(ValueError, match="one neighborhood per element"):
+            NeighborhoodMap(u, (u.full(),) * count)
+
+    def test_rejects_a_cell_on_another_universe(self):
+        u = Universe(("a", "b"))
+        stray = Universe(("a", "b", "c")).subset(["a"])
+        with pytest.raises(UniverseMismatchError):
+            NeighborhoodMap(u, (u.subset(["a"]), stray))
+
+
 # ---------------------------------------------------------------------------
 # Approximation operators
 # ---------------------------------------------------------------------------

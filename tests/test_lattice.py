@@ -78,8 +78,12 @@ class TestBuildLattice:
 
     def test_empty_family_rejected(self):
         u = Universe(("a",))
-        with pytest.raises(NotALatticeError):
+        with pytest.raises(NotALatticeError) as exc:
             build_lattice(SetFamily.of(u, ()))
+        assert str(exc.value) == (
+            "family is not a lattice: closure fails (empty family has no bottom element)"
+        )
+        assert exc.value.report.failed_axiom == "closure"
 
     @given(st.integers(1, 6), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -111,48 +115,15 @@ class TestBuildLattice:
         assert list(diagram.edges) == brute_cover_pairs(family)
         assert diagram.bottom == family.members[0] and diagram.top == family.members[-1]
 
-    def test_diagram_rejects_an_edge_that_is_not_a_strict_inclusion(self, chain_covering):
-        family = definable_family(neighborhoods_of_covering(chain_covering))
-        bottom, top = family.members[0], family.members[-1]
-        # {b} -> {} runs downwards, {a, b} -> {b, c} joins incomparable sets,
-        # and a self-loop is no strict inclusion
-        for edge in ((1, 0), (2, 3), (2, 2)):
-            with pytest.raises(ValueError):
-                LatticeDiagram(family, ((0, 1), edge), bottom, top)
-        assert LatticeDiagram(family, ((0, 1),), bottom, top).edges == ((0, 1),)
-
-    @pytest.mark.parametrize("edge", [(0, -1), (0, 9), (-5, 4), (5, 4)])
-    def test_diagram_rejects_an_edge_outside_the_family(self, chain_covering, edge):
-        family = definable_family(neighborhoods_of_covering(chain_covering))
-        with pytest.raises(ValueError, match="outside the family"):
-            LatticeDiagram(family, (edge,), family.members[0], family.members[-1])
-
     @pytest.mark.parametrize(
-        "case", ["non-member bottom", "swapped", "other universe", "empty family", "no least"]
+        "members",
+        [[], [[], ["a"], ["b"]], [["a"], ["b"]]],
+        ids=["empty", "union-of-atoms-missing", "no-least-or-greatest"],
     )
-    def test_diagram_holds_bottom_and_top_to_the_least_and_greatest_member(
-        self, chain_covering, case
-    ):
-        # D = {}, {b}, {a, b}, {b, c}, {a, b, c}
-        family = definable_family(neighborhoods_of_covering(chain_covering))
-        u = family.universe
-        bottom, top = family.members[0], family.members[-1]
-        diagram = LatticeDiagram(family, family.order.covers, bottom, top)
-        assert check_atomicity(diagram).details["atoms"] == ["{b}"]
-        if case == "non-member bottom":
-            bottom = u.subset(["a"])
-        elif case == "swapped":
-            bottom, top = top, bottom
-        elif case == "other universe":
-            bottom = Universe(("a", "b", "c", "d")).empty()
-        elif case == "empty family":
-            family = SetFamily(u, ())
-        else:
-            # {a} and {b}: first and last, but neither least nor greatest
-            family = SetFamily.from_labels(u, [["a"], ["b"]])
-            bottom, top = family.members[0], family.members[-1]
-        with pytest.raises(ValueError, match="bottom"):
-            LatticeDiagram(family, (), bottom, top)
+    def test_diagram_rejects_a_family_that_is_not_a_lattice(self, members):
+        family = SetFamily.from_labels(Universe(("a", "b")), members)
+        with pytest.raises(NotALatticeError):
+            LatticeDiagram(family)
 
 
 class TestLatticeLaws:

@@ -124,7 +124,7 @@ def above_ci3_prime(covering, family):
             witness = {"D": members[d], "I1": members[maximal[0]], "I2": members[other]}
             failures.append(AxiomFailure("CI3'", witness))
             break
-    return CheckReport("ci3prime", passed=not failures, failures=tuple(failures))
+    return CheckReport("ci3prime", failures=tuple(failures))
 
 
 def topdown_ci3_prime(covering, family):
@@ -155,7 +155,7 @@ def topdown_ci3_prime(covering, family):
             witness = {"D": members[d], "I1": members[maximal[0]], "I2": members[other]}
             failures.append(AxiomFailure("CI3'", witness))
             break
-    return CheckReport("ci3prime", passed=not failures, failures=tuple(failures))
+    return CheckReport("ci3prime", failures=tuple(failures))
 
 
 def walk_extension_scan(family, cells, pairs):
@@ -195,7 +195,7 @@ def pair_scan_closure(family):
                 witness = {"x": members[i], "y": members[j], "missing": missing}
                 failures.append(AxiomFailure(tag, witness))
                 break
-    return CheckReport("closure", passed=not failures, failures=tuple(failures))
+    return CheckReport("closure", failures=tuple(failures))
 
 
 def blocks_neighborhoods(covering):

@@ -83,7 +83,7 @@ def pair_scan_check_matroid(universe: Universe, family: SetFamily) -> CheckRepor
         failure = finder()
         if failure is not None:
             failures.append(failure)
-    return CheckReport("matroid", passed=not failures, failures=tuple(failures))
+    return CheckReport("matroid", failures=tuple(failures))
 
 
 def _down_closure(masks) -> set[int]:

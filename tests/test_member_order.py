@@ -64,7 +64,7 @@ def scan_check(check, dfam, family, tags, include_exchange=True, approx=None):
         if stray is not None:
             note = "candidate family must consist of definable sets"
             failure = AxiomFailure("definability", {"member": stray}, note=note)
-            return CheckReport(check, passed=False, failures=(failure,))
+            return CheckReport(check, failures=(failure,))
     t1, t2, t3 = tags
     members = family.members
     images = [m.bits if approx is None else approx(m.bits) for m in members]
@@ -99,7 +99,7 @@ def scan_check(check, dfam, family, tags, include_exchange=True, approx=None):
         failure = finder()
         if failure is not None:
             failures.append(failure)
-    return CheckReport(check, passed=not failures, failures=tuple(failures))
+    return CheckReport(check, failures=tuple(failures))
 
 
 def scan_ci3_prime(covering, family):
@@ -120,7 +120,7 @@ def scan_ci3_prime(covering, family):
             witness = {"D": d, "I1": Subset(u, maximal[0]), "I2": Subset(u, other)}
             failures.append(AxiomFailure("CI3'", witness))
             break
-    return CheckReport("ci3prime", passed=not failures, failures=tuple(failures))
+    return CheckReport("ci3prime", failures=tuple(failures))
 
 
 def same(a, b):
