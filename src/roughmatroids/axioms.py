@@ -17,17 +17,19 @@ The kernel takes the candidate as ``picked``, a mask over the indices of
 the definable family's members, and decides each axiom with whole-mask
 operations on the rows of the family's ``MemberOrder`` (``has[e]``: the
 members whose image holds element e; ``larger[s]``: those whose image has
-more than s elements; ``below[j]``, ``above[j]`` and ``over[x]`` built from
-them on first use):
+more than s elements; ``below[j]`` and ``over[x]`` built from them on
+first use):
 
 - the empty set is member 0, so it is bit 0 of ``picked``;
 - heredity fails at the first picked j with ``below[j] & ~picked``
   non-zero, and the lowest such bit is the missing subset;
-- exchange for a picked I1 starts from the picked members with a larger
-  image and clears, for each picked member K above I1, the members whose
-  image covers K's image less I1's (``over[a_K & ~a_I1]``); what is left
-  are the I2 without a member strictly between I1 and I1 together with
-  I2, and the lowest bit is the witness.
+- exchange for a picked I1 starts from the candidates, the picked
+  members with a larger image.  The candidates K in ``over[a_I1]`` are
+  those whose image strictly contains I1's, and for each of them it
+  clears the members whose image covers K's image less I1's
+  (``over[a_K & ~a_I1]``).  What is left are the I2 without a member
+  strictly between I1 and I1 together with I2, and the lowest bit is the
+  witness.
 
 The members are in canonical order, which ``SetFamily`` enforces, so
 ascending bit order is the order in which a member-by-member scan meets
@@ -85,7 +87,7 @@ def augmentation_within(family: SetFamily, i1: Subset, i2: Subset) -> bool:
     gap = i2.bits & ~i1.bits
     while gap:
         low = gap & -gap
-        if family.contains_bits(i1.bits | low):
+        if i1.bits | low in family.bitset():
             return True
         gap &= gap - 1
     return False
@@ -206,7 +208,7 @@ def _check_rough_given(
             break
     if include_exchange:
         images, sizes, larger = order.images, order.sizes, order.larger
-        over, above = order.over, order.above
+        over = order.over
         rest = picked
         while rest:
             low = rest & -rest
@@ -217,7 +219,7 @@ def _check_rough_given(
             if not cand:
                 continue
             a1 = images[j1]
-            ups = above[j1] & picked
+            ups = over[a1] & cand
             while cand and ups:
                 up = ups & -ups
                 ups ^= up

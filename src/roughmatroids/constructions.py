@@ -18,6 +18,7 @@ from .core import (
     Subset,
     Universe,
     neighborhoods_of_covering,
+    require_same_universe,
 )
 from .axioms import (
     check_matroid,
@@ -110,7 +111,7 @@ def extension_sides(
     nm = neighborhoods_of_covering(covering)
     dfam = definable_family(nm)
     idx = covering.universe.index(element)
-    blocked = not dfam.contains_bits(d1.bits | (1 << idx))
+    blocked = d1.bits | (1 << idx) not in dfam.bitset()
     gap = d2.bits & ~d1.bits & ~(1 << idx)
     predicted = gap & nm.cell_bits[idx] != 0
     return blocked, predicted
@@ -126,14 +127,17 @@ def one_point_extension_blocked(
     """Whether adding one element of d2 - d1 to d1 leaves the definable
     family.
 
-    Validates that d1 and d2 are definable and that the element lies in
-    d2 - d1; the cardinality gap between d1 and d2 is required by default
-    but can be waived, since neither direction of the criterion uses it.
+    Validates that d1 and d2 lie on the covering's universe (raising
+    ``UniverseMismatchError`` otherwise) and are definable, and that the
+    element lies in d2 - d1; the cardinality gap between d1 and d2 is
+    required by default but can be waived, since neither direction of the
+    criterion uses it.
     Both the membership test and the neighborhood criterion are computed,
     and their agreement is asserted.
     """
     dfam = definable_family(neighborhoods_of_covering(covering))
     for name, d in (("d1", d1), ("d2", d2)):
+        require_same_universe(covering, d)
         if d not in dfam:
             raise ValueError(f"{name}={d.notation()} is not definable")
     if require_size_gap and not len(d1) < len(d2):

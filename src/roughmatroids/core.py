@@ -78,9 +78,6 @@ class Universe:
     def size(self) -> int:
         return len(self.labels)
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     def __contains__(self, label: str) -> bool:
         return isinstance(label, str) and label in self._positions
 
@@ -135,18 +132,11 @@ class Subset:
         if not 0 <= self.bits < (1 << self.universe.size):
             raise ValueError(f"bits {self.bits:#x} out of range for universe")
 
-    @property
-    def cardinality(self) -> int:
-        return self.bits.bit_count()
-
     def __len__(self) -> int:
         return self.bits.bit_count()
 
     def __bool__(self) -> bool:
         return self.bits != 0
-
-    def __contains__(self, label: str) -> bool:
-        return (self.bits >> self.universe.index(label)) & 1 == 1
 
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.universe.size) if (self.bits >> i) & 1)
@@ -183,14 +173,6 @@ class Subset:
     def __lt__(self, other: Subset) -> bool:
         return self.issubset(other) and self.bits != other.bits
 
-    def with_label(self, label: str) -> Subset:
-        return Subset(self.universe, self.bits | (1 << self.universe.index(label)))
-
-    @property
-    def canonical_key(self) -> tuple[int, tuple[int, ...]]:
-        """``canonical_mask_key`` of this subset's mask."""
-        return canonical_mask_key(self.bits)
-
     def notation(self) -> str:
         return "{" + ", ".join(self.members()) + "}"
 
@@ -198,15 +180,21 @@ class Subset:
         return f"Subset({self.notation()})"
 
 
-def canonical_mask_key(bits: int) -> tuple[int, tuple[int, ...]]:
-    """Canonical sort key for a raw membership mask, and the one definition
-    of the order ``SetFamily`` keeps: the size, then the ascending element
-    indices, read one set bit at a time."""
-    elements = []
-    while bits:
-        elements.append((bits & -bits).bit_length() - 1)
-        bits &= bits - 1
-    return (len(elements), tuple(elements))
+# Every byte with its bits reversed and complemented.
+_FLIPPED = bytes(0xFF ^ int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def canonical_mask_key(bits: int, n: int) -> int:
+    """Canonical sort key for a membership mask over n elements, and the
+    one definition of the order ``SetFamily`` keeps: the size, then the
+    ascending element indices.  Of two masks of one size, the one holding
+    the lowest element where they differ comes first.  Below the size,
+    the key holds the mask's bits lowest first from the top down, each
+    complemented, so that mask has the smaller key; the bytes are reversed
+    through ``_FLIPPED`` rather than bit by bit."""
+    width = (n + 7) >> 3
+    flipped = bits.to_bytes(width, "little").translate(_FLIPPED)
+    return bits.bit_count() << 8 * width | int.from_bytes(flipped, "big")
 
 
 @dataclass(frozen=True)
@@ -297,9 +285,6 @@ class BinaryRelation:
             universe,
             frozenset((universe.index(x), universe.index(y)) for x, y in pairs),
         )
-
-    def related(self, x: str, y: str) -> bool:
-        return (self.universe.index(x), self.universe.index(y)) in self.pairs
 
     @cached_property
     def neighborhoods(self) -> NeighborhoodMap:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import compress, pairwise, repeat
-from operator import attrgetter
+from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator
 from weakref import WeakValueDictionary
 
@@ -27,6 +26,7 @@ from .core import (
     Subset,
     Universe,
     UniverseMismatchError,
+    canonical_mask_key,
     lower_approx_bits,
     require_same_universe,
     upper_approx_bits,
@@ -45,10 +45,10 @@ class SetFamily:
 
     Canonical order is the order of ``core.canonical_mask_key``: by
     cardinality, then by the ascending member-index tuple, so every report
-    and serialization is reproducible.  Members given in another order are
-    sorted into it.  The package relies on three consequences: the least
-    member, when there is one, comes first, the greatest comes last, and a
-    strict superset always has the higher index.
+    and serialization is reproducible.  Members are always sorted into it.
+    The package relies on three consequences: the least member, when there
+    is one, comes first, the greatest comes last, and a strict superset
+    always has the higher index.
     """
 
     universe: Universe
@@ -61,10 +61,9 @@ class SetFamily:
                 raise UniverseMismatchError("family member on a different universe")
         if len(self.bitset()) != len(self.members):
             raise ValueError("family members must be distinct")
-        key = attrgetter("canonical_key")
-        if not all(a < b for a, b in pairwise(map(key, self.members))):
-            ordered = tuple(sorted(self.members, key=key))
-            object.__setattr__(self, "members", ordered)
+        n = u.size
+        ordered = sorted(self.members, key=lambda m: canonical_mask_key(m.bits, n))
+        object.__setattr__(self, "members", tuple(ordered))
 
     @classmethod
     def of(cls, universe: Universe, members: Iterable[Subset]) -> SetFamily:
@@ -80,9 +79,6 @@ class SetFamily:
 
     def __contains__(self, item: Subset) -> bool:
         return item.universe == self.universe and item.bits in self._bits
-
-    def contains_bits(self, bits: int) -> bool:
-        return bits in self._bits
 
     def __iter__(self) -> Iterator[Subset]:
         return iter(self.members)
@@ -198,15 +194,16 @@ class MemberOrder:
     table is built up front:
 
     - ``over[x]``: the members whose image contains the element mask x;
-    - ``below[j]``: the members inside member j (j itself included);
-    - ``above[j]``: the members whose image strictly contains j's image.
+    - ``below[j]``: the members inside member j (j itself included).
 
-    ``below`` reads the member masks alone.  The lower and upper
-    approximations are monotone for every neighborhood map, so a member
-    inside j also has its image inside j's image, and heredity over the
-    images needs no second table.  Each of the three keeps at most
-    ``_MEMO_BITS`` bits of rows.  ``covers``, the Hasse diagram of the
-    members, is built from ``below`` once, on first use.
+    The members whose image strictly contains j's image are
+    ``over[images[j]] & larger[sizes[j]]``.  ``below`` reads the member
+    masks alone.  The lower and upper approximations are monotone for
+    every neighborhood map, so a member inside j also has its image inside
+    j's image, and heredity over the images needs no second table.  Each
+    of the two keeps at most ``_MEMO_BITS`` bits of rows.  ``covers``, the
+    Hasse diagram of the members, is built from ``below`` once, on first
+    use.
     """
 
     def __init__(
@@ -222,7 +219,7 @@ class MemberOrder:
         # from the largest size on are empty.
         top = max(sizes, default=0)
         unary = [(1 << s) - 1 for s in sizes]
-        self.larger = larger = _columns(unary, top) + [0] * (n + 1 - top)
+        self.larger = _columns(unary, top) + [0] * (n + 1 - top)
         # lacks[e]: the members without element e
         has = self.has if images is sets else _columns(sets, n)
         lacks = [full & ~row for row in has]
@@ -231,9 +228,8 @@ class MemberOrder:
         # collector.
         room = _MEMO_BITS // max(len(sets), 1)
         universe = (1 << n) - 1
-        self.over = over = _Rows(partial(_all_of, self.has, full), room)
+        self.over = _Rows(partial(_all_of, self.has, full), room)
         self.below = _Rows(lambda j: _all_of(lacks, full, universe & ~sets[j]), room)
-        self.above = _Rows(lambda j: over[images[j]] & larger[sizes[j]], room)
 
     def maximal(self, mask: int) -> list[int]:
         """The maximal members among those ``mask`` selects, highest first.

@@ -181,13 +181,11 @@ def neighborhoods_payload(nm) -> dict:
 
 
 def jsonable(value: Any) -> Any:
-    """Subsets, families and reports (also nested) as JSON-ready values."""
+    """A witness or details value as a JSON-ready value: subsets, also
+    inside dicts, lists and tuples, become label lists, and every other
+    value is kept as it is."""
     if isinstance(value, Subset):
         return subset_payload(value)
-    if isinstance(value, SetFamily):
-        return [subset_payload(m) for m in value.members]
-    if isinstance(value, CheckReport):
-        return report_payload(value)
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import eq
 from string import ascii_lowercase
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import (
     SCAN_LIMIT,
@@ -395,60 +395,48 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
     failures: list[AxiomFailure] = []
     details: dict = {"seed": budget.seed, "universe_size": n}
 
+    def stage(key: str, found: Sequence[AxiomFailure], passed: str = "pass") -> None:
+        """Record one stage: its failures, and its verdict under ``key``."""
+        failures.extend(found)
+        details[key] = "fail" if found else passed
+
+    def least(axiom: str, sets: Collection[int]) -> list[AxiomFailure]:
+        """The failure of ``axiom`` at the least of ``sets``, if any."""
+        return [AxiomFailure(axiom, {"X": Subset(covering.universe, min(sets))})] if sets else []
+
     # One table of both approximations serves duality and the fixpoints.
     subsets = range(1 << n)
     lows = [lower_approx_bits(cells, x) for x in subsets]
     ups = [upper_approx_bits(cells, x) for x in subsets]
-    odd = next((x for x in subsets if lows[x ^ full] != ups[x] ^ full), None)
-    duality_ok = odd is None
-    if not duality_ok:
-        failures.append(AxiomFailure("duality", {"X": Subset(covering.universe, odd)}))
-    details["duality"] = "pass" if duality_ok else "fail"
+    stage("duality", least("duality", [x for x in subsets if lows[x ^ full] != ups[x] ^ full]))
 
     dfam = definable_family(nm)
     details["definable_family_size"] = len(dfam)
     # build_lattice gates on check_closure, so its failures are the closure's
     try:
-        diagram = build_lattice(dfam)
+        diagram, closure = build_lattice(dfam), ()
     except NotALatticeError as exc:
-        diagram = None
-        failures.extend(exc.report.failures)
-    details["closure"] = "pass" if diagram is not None else "fail"
+        diagram, closure = None, exc.report.failures
+    stage("closure", closure)
 
     dbits = dfam.bitset()
     fix_lower = frozenset(compress(subsets, map(eq, lows, subsets)))
     fix_upper = frozenset(compress(subsets, map(eq, ups, subsets)))
-    fix_ok = fix_lower == dbits
-    if not fix_ok:
-        odd = min(fix_lower ^ dbits)
-        failures.append(
-            AxiomFailure("fixpoint-lower", {"X": Subset(covering.universe, odd)})
-        )
-    details["fixpoint_lower_equality"] = "pass" if fix_ok else "fail"
+    stage("fixpoint_lower_equality", least("fixpoint-lower", fix_lower ^ dbits))
     # By duality the upper fixpoints are exactly the complements of the
     # definable sets; they coincide with the definable family itself only
     # when that family is complement-closed, so that coincidence is
     # reported as a finding rather than enforced as a law.
-    upper_dual_ok = fix_upper == {b ^ full for b in dbits}
-    if not upper_dual_ok:
-        odd = min(fix_upper ^ {b ^ full for b in dbits})
-        failures.append(
-            AxiomFailure("fixpoint-upper-duality", {"X": Subset(covering.universe, odd)})
-        )
-    details["fixpoint_upper_duality"] = "pass" if upper_dual_ok else "fail"
-    details["upper_fixpoints_equal_definable"] = (
-        "holds" if fix_upper == dbits else "fails"
-    )
-    if fix_upper != dbits:
-        details["upper_fixpoint_witness"] = Subset(
-            covering.universe, min(fix_upper ^ dbits)
-        ).notation()
+    complements = {b ^ full for b in dbits}
+    stage("fixpoint_upper_duality", least("fixpoint-upper-duality", fix_upper ^ complements))
+    stray = fix_upper ^ dbits
+    details["upper_fixpoints_equal_definable"] = "fails" if stray else "holds"
+    if stray:
+        details["upper_fixpoint_witness"] = Subset(covering.universe, min(stray)).notation()
 
     if diagram is not None:
         if len(dfam) <= _TRIPLE_SCAN_LIMIT:
-            laws = check_lattice_laws(diagram)
-            failures.extend(laws.failures)
-            details["lattice_laws"] = "pass (exhaustive)" if laws.passed else "fail"
+            stage("lattice_laws", check_lattice_laws(diagram).failures, "pass (exhaustive)")
         else:
             # The indices rng.choice(dfam.members) picks one at a time.  All
             # triples are drawn up front: no triple of ints fails these laws,
@@ -456,9 +444,8 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
             masks = [m.bits for m in dfam.members]
             picks = [masks[i] for i in _choice_indices(rng, len(masks), 3 * _SAMPLED_TRIPLES)]
             laws_ok = all(map(_triple_laws_hold, picks[0::3], picks[1::3], picks[2::3]))
-            if not laws_ok:
-                failures.append(AxiomFailure("lattice-laws", {}, note="sampled triple failed"))
-            details["lattice_laws"] = "pass (sampled)" if laws_ok else "fail"
+            failed = AxiomFailure("lattice-laws", {}, note="sampled triple failed")
+            stage("lattice_laws", () if laws_ok else (failed,), "pass (sampled)")
         atom = check_atomicity(diagram)
         details["atomicity"] = "holds" if atom.passed else "fails"
         details["atoms"] = atom.details["atoms"]
@@ -474,30 +461,21 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
         pairs = ((i, j) for i, j in map(divmod, sampled, repeat(size)) if i != j)
         details["extension_scan"] = "sampled"
     gap_respected, ext_failure = _extension_scan(dfam, cells, pairs)
-    ext_ok = ext_failure is None
-    if not ext_ok:
-        failures.append(ext_failure)
-    details["extension_biconditional"] = "pass" if ext_ok else "fail"
+    stage("extension_biconditional", [ext_failure] if ext_failure else [])
     details["extension_biconditional_without_size_gap"] = (
         "holds" if gap_respected else "fails"
     )
 
-    agree_ok = True
+    disagreement = []
     sample_masks = _sample_family_masks(rng, len(dfam), budget.trials)
     for mask in sample_masks:
         plain = _check_rough_given("rough-cov", dfam.order, mask, ("CI1", "CI2", "CI3"))
         prime = check_ci3_prime(covering, _subfamily(dfam, mask))
         if plain.passed != prime.passed:
-            agree_ok = False
-            failures.append(
-                AxiomFailure(
-                    "ci3prime-agreement",
-                    {"subfamily_index": mask},
-                    note="the two exchange axiomatisations disagreed",
-                )
-            )
+            note = "the two exchange axiomatisations disagreed"
+            disagreement = [AxiomFailure("ci3prime-agreement", {"subfamily_index": mask}, note=note)]
             break
-    details["ci3prime_agreement"] = "pass" if agree_ok else "fail"
+    stage("ci3prime_agreement", disagreement)
     details["ci3prime_samples"] = len(sample_masks)
 
     return CheckReport("cross-check", failures=tuple(failures), details=details)

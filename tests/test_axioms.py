@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,8 @@ from roughmatroids import (
     lower_approx,
     neighborhoods_of_covering,
     random_covering,
+    random_relation,
+    successor_neighborhoods,
     upper_approx,
 )
 from roughmatroids.axioms import (
@@ -254,11 +260,11 @@ class TestMatroidCondition:
         assert check_matroid_condition(covering, family).passed
 
 
-def replay_failure(report, context):
-    """Re-evaluate the named axiom predicate on the reported witness."""
+def replay_failure(failure, context):
+    """Re-evaluate the named axiom predicate on one failure's witness."""
     family = context["family"]
-    axiom = report.failed_axiom
-    witness = report.witness
+    axiom = failure.axiom
+    witness = failure.witness
     if axiom == "definability":
         return witness["member"] not in context["dfam"]
     if axiom.endswith("1"):
@@ -276,60 +282,80 @@ def replay_failure(report, context):
     raise AssertionError(f"unexpected axiom {axiom}")
 
 
+def replay_every_failure(structure, family):
+    """Run every checker that takes ``structure`` on ``family``, replay
+    each failure of each report, and return the axioms replayed."""
+    nm = structure.neighborhoods
+    dfam = definable_family(nm)
+    u = structure.universe
+    lower = lambda bits: lower_approx(nm, u.from_bits(bits)).bits  # noqa: E731
+    upper = lambda bits: upper_approx(nm, u.from_bits(bits)).bits  # noqa: E731
+    if isinstance(structure, Covering):
+        checks = [
+            (check_matroid(u, family), None),
+            (check_rough_matroid_covering(structure, family), None),
+            (check_lower_rough_matroid_covering(structure, family), lower),
+            (check_upper_rough_matroid_covering(structure, family), upper),
+        ]
+    else:
+        checks = [
+            (check_lower_rough_matroid_relation(structure, family), lower),
+            (check_upper_rough_matroid_relation(structure, family), upper),
+        ]
+    replayed = []
+    for report, approx in checks:
+        context = {"family": family, "dfam": dfam, "approx": approx}
+        for failure in report.failures:
+            assert replay_failure(failure, context), (report.check, failure)
+            replayed.append(failure.axiom)
+    return replayed
+
+
+def down_closure_masks(dfam, rng, count):
+    """Masks of the members inside one to three seeded members: they hold
+    the empty set and definable-subset heredity, so only exchange can
+    fail on them."""
+    below = dfam.order.below
+    return [
+        reduce(or_, (below[rng.randrange(len(dfam))] for _ in range(rng.randint(1, 3))))
+        for _ in range(count)
+    ]
+
+
 class TestWitnessReplay:
     @given(st.integers(1, 6), st.integers(0, 10_000), st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
     def test_fail_witnesses_replay(self, n, cov_seed, fam_seed):
-        import random
-
         covering = random_covering(n, 0.5, cov_seed)
-        nm = neighborhoods_of_covering(covering)
-        dfam = definable_family(nm)
+        dfam = definable_family(neighborhoods_of_covering(covering))
         rng = random.Random(fam_seed)
-        family = _subfamily(dfam, rng.randrange(1 << min(len(dfam), 16)))
-        u = covering.universe
-        lower = lambda bits: lower_approx(nm, u.from_bits(bits)).bits  # noqa: E731
-        upper = lambda bits: upper_approx(nm, u.from_bits(bits)).bits  # noqa: E731
-        checks = [
-            (check_matroid(u, family), {"approx": None}),
-            (check_rough_matroid_covering(covering, family), {"approx": None}),
-            (check_lower_rough_matroid_covering(covering, family), {"approx": lower}),
-            (check_upper_rough_matroid_covering(covering, family), {"approx": upper}),
-        ]
-        for report, extra in checks:
-            if report.passed:
-                continue
-            context = {"family": family, "dfam": dfam, **extra}
-            assert replay_failure(report, context)
+        replay_every_failure(covering, _subfamily(dfam, rng.randrange(1 << min(len(dfam), 16))))
+
+    def test_exchange_witnesses_replay(self):
+        # uniformly drawn subfamilies nearly always fail the empty set or
+        # heredity; down-closures pass both and reach the exchange axioms
+        replayed = Counter()
+        for seed in range(60):
+            rng = random.Random(seed)
+            for structure in (
+                random_covering(rng.randint(2, 6), 0.5, seed),
+                random_relation(rng.randint(2, 5), 0.4, seed),
+            ):
+                dfam = definable_family(structure.neighborhoods)
+                uniform = rng.randrange(1 << min(len(dfam), 16))
+                for mask in [uniform, *down_closure_masks(dfam, rng, 4)]:
+                    replayed.update(replay_every_failure(structure, _subfamily(dfam, mask)))
+        assert all(replayed[axiom] for axiom in ("I3", "CI3", "LI3", "UI3")), replayed
 
 
 class TestWitnessReplayRelations:
     @given(st.integers(1, 5), st.floats(0.1, 0.9), st.integers(0, 10_000), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_relation_fail_witnesses_replay(self, n, density, rel_seed, fam_seed):
-        import random
-
-        from roughmatroids import (
-            random_relation,
-            successor_neighborhoods,
-        )
-
         relation = random_relation(n, density, rel_seed)
-        nm = successor_neighborhoods(relation)
-        dfam = definable_family(nm)
+        dfam = definable_family(successor_neighborhoods(relation))
         rng = random.Random(fam_seed)
-        family = _subfamily(dfam, rng.randrange(1 << min(len(dfam), 16)))
-        u = relation.universe
-        lower = lambda bits: lower_approx(nm, u.from_bits(bits)).bits  # noqa: E731
-        upper = lambda bits: upper_approx(nm, u.from_bits(bits)).bits  # noqa: E731
-        for report, approx in (
-            (check_lower_rough_matroid_relation(relation, family), lower),
-            (check_upper_rough_matroid_relation(relation, family), upper),
-        ):
-            if report.passed:
-                continue
-            context = {"family": family, "dfam": dfam, "approx": approx}
-            assert replay_failure(report, context)
+        replay_every_failure(relation, _subfamily(dfam, rng.randrange(1 << min(len(dfam), 16))))
 
 
 class TestCheckerLaws:

@@ -34,6 +34,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# A structure file holding the one-block covering of a one-element universe.
+ONE_BLOCK = {"universe": ["a"], "covering": [["a"]]}
+
+
 def fx(name: str) -> str:
     return str(FIXTURES / name)
 
@@ -441,6 +445,76 @@ class TestOtherCommands:
         code, _, err = run(capsys, "neighborhoods", str(bad))
         assert code == 2
         assert "unknown label ['a']" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "structure, family, argv, message",
+        [
+            pytest.param(
+                [["a"]], None, ["neighborhoods", "S"], "expected a JSON object", id="top-level-array"
+            ),
+            pytest.param(
+                {"universe": ["a"], "covering": ["a"]},
+                None,
+                ["neighborhoods", "S"],
+                "subsets must be lists of labels",
+                id="subset-not-a-list",
+            ),
+            pytest.param(
+                {"universe": ["a"], "covering": {"a": 1}},
+                None,
+                ["neighborhoods", "S"],
+                "'covering' must be a list",
+                id="covering-not-a-list",
+            ),
+            pytest.param(
+                {"universe": ["a"], "relation": "a"},
+                None,
+                ["neighborhoods", "S"],
+                "'relation' must be a list",
+                id="relation-not-a-list",
+            ),
+            pytest.param(
+                ONE_BLOCK,
+                {"universe": ["a"], "family": "a"},
+                ["check", "rough-cov", "S", "F"],
+                "'family' must be a list",
+                id="family-not-a-list",
+            ),
+            pytest.param(
+                {"universe": ["a"], "relation": [["a"]]},
+                None,
+                ["neighborhoods", "S"],
+                "relation entries must be pairs",
+                id="relation-entry-not-a-pair",
+            ),
+            pytest.param(
+                {"universe": ["a"], "covering": []},
+                None,
+                ["neighborhoods", "S"],
+                "at least one block",
+                id="empty-covering",
+            ),
+            pytest.param(
+                ONE_BLOCK,
+                None,
+                ["approx", "S", "--set", "{a,,}"],
+                "empty label in set literal",
+                id="empty-label-in-set-literal",
+            ),
+        ],
+    )
+    def test_malformed_input_exit_two_with_one_json_error(
+        self, capsys, tmp_path, structure, family, argv, message
+    ):
+        # S and F in argv stand for the structure and family files
+        files = {"S": structure, "F": family}
+        for name, payload in files.items():
+            (tmp_path / name).write_text(json.dumps(payload))
+        code, out, err = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
+        assert code == 2
+        assert out == ""
+        (error,) = _json_objects(err)
+        assert message in error["error"]["message"]
 
     def test_extension_check_reports_the_validated_criterion(self, capsys, monkeypatch):
         # the criterion is computed once, inside the validating call

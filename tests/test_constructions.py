@@ -11,6 +11,7 @@ from roughmatroids import (
     Covering,
     SetFamily,
     Universe,
+    UniverseMismatchError,
     check_ci3_prime,
     check_rough_matroid_covering,
     check_uniform_proposition,
@@ -156,6 +157,13 @@ class TestOnePointExtension:
                 hex_universe.subset(["a", "d", "e"]),
                 "e",
             )
+        other = Universe(hex_universe.labels[::-1])
+        for d1, d2 in (
+            (other.subset(["e"]), hex_universe.subset(["a", "d", "f"])),
+            (hex_universe.subset(["e"]), other.subset(["a", "d", "f"])),
+        ):
+            with pytest.raises(UniverseMismatchError):
+                one_point_extension_blocked(hex_covering, d1, d2, "a")
 
     @given(st.integers(1, 6), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -289,6 +297,9 @@ class TestDirectSum:
         bad = SetFamily.from_labels(c2.universe, [["d"]])  # missing the empty set
         with pytest.raises(ValueError, match="not a rough matroid"):
             direct_sum(*sum_left, c2, bad)
+        c1, _ = sum_left
+        with pytest.raises(ValueError, match="first summand: covering and family universes differ"):
+            direct_sum(c1, sum_right[1], *sum_right)
 
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 5_000))
     @settings(max_examples=25, deadline=None)

@@ -10,6 +10,7 @@ from roughmatroids import (
     BinaryRelation,
     Covering,
     InvalidCoveringError,
+    SizeBoundError,
     Subset,
     Universe,
     UniverseMismatchError,
@@ -66,6 +67,8 @@ class TestUniverse:
         with pytest.warns(UserWarning, match="bounded at 20"):
             u = Universe(tuple(f"x{i}" for i in range(21)))
         assert u.size == 21
+        with pytest.raises(SizeBoundError, match="powerset scan"):
+            next(u.all_subsets())
 
 
 class TestSubset:
@@ -83,6 +86,19 @@ class TestSubset:
     def test_members_in_declaration_order(self):
         u = Universe(("b", "a"))
         assert u.subset(["a", "b"]).members() == ("b", "a")
+
+    def test_bits_out_of_range_rejected(self):
+        u = Universe(("a", "b"))
+        for bits in (-1, 1 << 2):
+            with pytest.raises(ValueError, match="out of range"):
+                Subset(u, bits)
+
+    def test_membership_reads_the_members(self):
+        # a label outside the universe is not a member, as for Universe
+        s = Universe(("a", "b")).subset(["a"])
+        assert "a" in s
+        assert "b" not in s
+        assert "z" not in s
 
     @given(st.integers(0, 255), st.integers(0, 255))
     def test_algebra_matches_python_sets(self, xb, yb):
@@ -112,6 +128,12 @@ class TestCovering:
         u = Universe(("a", "b"))
         with pytest.raises(InvalidCoveringError, match="duplicate"):
             Covering.from_labels(u, [["a", "b"], ["a", "b"]])
+
+    def test_rejects_block_on_another_universe(self):
+        u = Universe(("a", "b"))
+        other = Universe(("a", "c"))
+        with pytest.raises(UniverseMismatchError):
+            Covering(u, (u.subset(["a", "b"]), other.subset(["a"])))
 
     def test_partition_detection(self):
         u = Universe(("a", "b", "c"))
@@ -174,6 +196,12 @@ class TestSuccessorNeighborhoods:
         u = Universe(("a", "b"))
         nm = successor_neighborhoods(BinaryRelation(u, frozenset()))
         assert all(not cell for cell in nm.cells)
+
+    def test_rejects_a_pair_out_of_range(self):
+        u = Universe(("a", "b"))
+        for pair in ((0, 2), (-1, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                BinaryRelation(u, frozenset([pair]))
 
     def test_identity_relation(self):
         u = Universe(("a", "b", "c"))

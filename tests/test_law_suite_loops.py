@@ -116,7 +116,7 @@ def above_ci3_prime(covering, family):
             low = rest & -rest
             rest ^= low
             j = low.bit_length() - 1
-            if not order.above[j] & inside:
+            if not order.over[order.images[j]] & order.larger[order.sizes[j]] & inside:
                 maximal.append(j)
         size = order.sizes[maximal[0]] if maximal else 0
         other = next((j for j in maximal if order.sizes[j] != size), None)
@@ -169,7 +169,7 @@ def walk_extension_scan(family, cells, pairs):
         while rest:
             e = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            blocked = not family.contains_bits(d1.bits | (1 << e))
+            blocked = d1.bits | (1 << e) not in family.bitset()
             predicted = gap_bits & ~(1 << e) & cells[e] != 0
             if blocked != predicted:
                 gap_respected = False

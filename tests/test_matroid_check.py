@@ -46,14 +46,14 @@ def _subsets_canonical(bits: int) -> list[int]:
         low = rest & -rest
         subs += [s | low for s in subs]
         rest &= rest - 1
-    return sorted(subs, key=canonical_mask_key)
+    return sorted(subs, key=lambda s: canonical_mask_key(s, bits.bit_length()))
 
 
 def _augments(family: SetFamily, i1: Subset, i2: Subset) -> bool:
     gap = i2.bits & ~i1.bits
     while gap:
         low = gap & -gap
-        if family.contains_bits(i1.bits | low):
+        if i1.bits | low in family.bitset():
             return True
         gap &= gap - 1
     return False
@@ -68,7 +68,7 @@ def pair_scan_check_matroid(universe: Universe, family: SetFamily) -> CheckRepor
     def i2_failure():
         for ind in family:
             for sub in _subsets_canonical(ind.bits):
-                if not family.contains_bits(sub):
+                if sub not in family.bitset():
                     return AxiomFailure("I2", {"I": ind, "I'": Subset(universe, sub)})
         return None
 

@@ -251,14 +251,16 @@ class TestCanonicalOrder:
 
     def test_key_is_the_size_then_the_ascending_indices(self):
         rng = random.Random(16)
-        for bits in [*range(1 << 10), *sparse_masks(rng, 1024, 5000)]:
-            assert canonical_mask_key(bits) == positional_key(bits)
+        for n, masks in ((10, range(1 << 10)), (1024, set(sparse_masks(rng, 1024, 5000)))):
+            key = partial(canonical_mask_key, n=n)
+            assert len(set(map(key, masks))) == len(masks)
+            assert sorted(masks, key=key) == sorted(masks, key=positional_key)
 
     def test_equal_sizes_order_by_lowest_differing_element(self):
         u = Universe(tuple("abcd"))
         masks = [0b1100, 0b0011, 0b1010, 0b0101, 0b0110, 0b1001]
         family = SetFamily(u, tuple(Subset(u, b) for b in masks))
-        keys = [m.canonical_key for m in family]
+        keys = [canonical_mask_key(m.bits, 4) for m in family]
         assert keys == sorted(keys)
         assert [m.bits for m in family] == [0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100]
 
@@ -301,8 +303,9 @@ class TestOrder:
         assert order.larger == [0b11110, 0b11100, 0b10000, 0]
         assert order.below[2] == 0b00111
         assert order.below[4] == 0b11111
-        assert order.above[1] == 0b11100
-        assert order.above[4] == 0
+        # the members strictly above member j
+        assert order.over[order.images[1]] & order.larger[order.sizes[1]] == 0b11100
+        assert order.over[order.images[4]] & order.larger[order.sizes[4]] == 0
         assert order.over[0b101] == 0b10000
 
     def test_tables_match_a_per_element_construction_past_one_block(self):
@@ -345,7 +348,7 @@ class TestOrder:
         order = family.order
         for mask in range(0, 1 << 16, 97):
             _check_rough_given("rough-cov", order, mask, TAGS)
-        assert max(len(order.over), len(order.below), len(order.above)) <= 4
+        assert max(len(order.over), len(order.below)) <= 4
         assert same(
             _check_rough_given("rough-cov", order, (1 << 16) - 1, TAGS),
             scan_check("rough-cov", dfam, dfam, TAGS),

@@ -210,6 +210,10 @@ class TestEnumerateRoughMatroids:
         assert len(classical_matroids(1)) == 2
         assert len(classical_matroids(2)) == 5
 
+    def test_classical_enumeration_is_bounded(self):
+        with pytest.raises(SizeBoundError, match="n = 4"):
+            classical_matroids(5)
+
     def test_is_matroid_masks_examples(self):
         assert is_matroid_masks({0b00, 0b01, 0b10}, 2)
         assert not is_matroid_masks({0b01}, 2)  # missing the empty set
@@ -241,6 +245,11 @@ class TestRandomGenerators:
             random_covering(0, 0.5, 1)
         with pytest.raises(ValueError):
             random_covering(3, 0.0, 1)
+
+    def test_relation_validates_arguments(self):
+        for n, density in ((0, 0.5), (3, -0.1), (3, 1.5)):
+            with pytest.raises(ValueError):
+                random_relation(n, density, 1)
 
     def test_relation_deterministic(self):
         assert random_relation(5, 0.3, 11) == random_relation(5, 0.3, 11)
