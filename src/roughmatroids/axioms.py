@@ -34,9 +34,11 @@ first use):
 The members are in canonical order, which ``SetFamily`` enforces, so
 ascending bit order is the order in which a member-by-member scan meets
 them, and every witness is the one that scan finds.  A ``SetFamily`` is
-turned into a mask (or a definability failure) only at the boundary, in
-``_check_on`` and ``check_ci3_prime``; enumeration and ``cross_check``
-hand their subfamily indices to the kernel directly.
+its int masks, so ``_check_on`` and ``check_ci3_prime`` read a candidate's
+masks into its subfamily index (or a definability failure) with
+``index_mask``; enumeration and ``cross_check`` hand their subfamily
+indices to the kernel directly.  ``Subset`` objects appear only in
+witnesses.
 
 The approximation-based systems restrict heredity to candidates that are
 both included in the independent set and dominated by it under the
@@ -60,6 +62,7 @@ from .core import (
     NeighborhoodMap,
     Subset,
     Universe,
+    bit_indices,
     lower_approx_bits,
     neighborhoods_of_covering,
     require_same_universe,
@@ -76,7 +79,7 @@ def _first_missing_subset(bits: int, present: frozenset[int]) -> int:
     """The canonically first submask of ``bits`` not in ``present``.  The
     walk is in canonical order (by size, then by ascending index tuple), so
     every submask it passes is a distinct member of ``present``."""
-    elements = [1 << i for i in range(bits.bit_length()) if bits >> i & 1]
+    elements = [1 << i for i in bit_indices(bits)]
     subsets = (sum(c) for k in range(len(elements) + 1) for c in combinations(elements, k))
     return next(sub for sub in subsets if sub not in present)
 
@@ -107,7 +110,7 @@ def approx_exchange_within(
     i1 together with i2."""
     a1 = approx(i1.bits)
     hi = a1 | approx(i2.bits)
-    images = (approx(m.bits) for m in family)
+    images = map(approx, family.masks)
     return any(a1 & ~am == 0 and am != a1 and am & ~hi == 0 for am in images)
 
 
@@ -140,33 +143,31 @@ def check_matroid(universe: Universe, family: SetFamily) -> CheckReport:
     require_same_universe(family, empty)
     if empty not in family:
         failures.append(AxiomFailure("I1", {"missing": empty}))
-    members, present = family.members, family.bitset()
+    masks, present = family.masks, family.bitset()
     addable: dict[int, int] = {}
     stuck = None
-    for m in members:
-        rest = m.bits
+    for m in masks:
+        rest = m
         while rest:
             low = rest & -rest
             rest ^= low
-            addable[m.bits ^ low] = addable.get(m.bits ^ low, 0) | low
-            if stuck is None and m.bits ^ low not in present:
+            addable[m ^ low] = addable.get(m ^ low, 0) | low
+            if stuck is None and m ^ low not in present:
                 stuck = m
     if stuck is not None:
-        sub = _first_missing_subset(stuck.bits, present)
-        failures.append(AxiomFailure("I2", {"I": stuck, "I'": Subset(universe, sub)}))
+        sub = _first_missing_subset(stuck, present)
+        witness = {"I": Subset(universe, stuck), "I'": Subset(universe, sub)}
+        failures.append(AxiomFailure("I2", witness))
     order = family.order
     has, larger, sizes = order.has, order.larger, order.sizes
-    for j, m in enumerate(members):
+    for j, m in enumerate(masks):
         reach = 0
-        rest = addable.get(m.bits, 0)
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            reach |= has[low.bit_length() - 1]
+        for e in bit_indices(addable.get(m, 0)):
+            reach |= has[e]
         fails = larger[sizes[j]] & ~reach
         if fails:
-            i2 = members[(fails & -fails).bit_length() - 1]
-            failures.append(AxiomFailure("I3", {"I1": m, "I2": i2}))
+            i2 = family.members[(fails & -fails).bit_length() - 1]
+            failures.append(AxiomFailure("I3", {"I1": family.members[j], "I2": i2}))
             break
     return CheckReport("matroid", failures=tuple(failures))
 
@@ -174,7 +175,7 @@ def check_matroid(universe: Universe, family: SetFamily) -> CheckReport:
 def definability_report(check: str, dfam: SetFamily, family: SetFamily) -> CheckReport:
     """The failed definability precondition, for a family that is not a
     subfamily of ``dfam``: its first member outside the definable family."""
-    stray = next(m for m in family if m not in dfam)
+    stray = Subset(family.universe, next(b for b in family.masks if b not in dfam.bitset()))
     note = "candidate family must consist of definable sets"
     failure = AxiomFailure("definability", {"member": stray}, note=note)
     return CheckReport(check, failures=(failure,))
@@ -248,8 +249,8 @@ def _check_on(
     if approx_bits is None:
         order = dfam.order
     else:
-        images = [approx_bits(nm.cell_bits, m.bits) for m in dfam.members]
-        order = MemberOrder(nm.universe.size, dfam.members, images)
+        images = [approx_bits(nm.cell_bits, b) for b in dfam.masks]
+        order = MemberOrder(dfam, images)
     tags = (f"{prefix}I1", f"{prefix}I2", f"{prefix}I3")
     return _check_rough_given(check, order, picked, tags)
 
@@ -286,33 +287,19 @@ def check_matroid_condition(covering: Covering, family: SetFamily) -> CheckRepor
     support on the other.  Passes when the sides agree."""
     rough = check_rough_matroid_covering(covering, family)
     if not rough.passed:
-        return CheckReport(
-            "matroid-cond",
-            failures=(
-                AxiomFailure(
-                    "precondition",
-                    dict(rough.witness),
-                    note=f"family is not a rough matroid ({rough.failed_axiom} fails)",
-                ),
-            ),
-        )
-    nm = neighborhoods_of_covering(covering)
+        note = f"family is not a rough matroid ({rough.failed_axiom} fails)"
+        failure = AxiomFailure("precondition", dict(rough.witness), note=note)
+        return CheckReport("matroid-cond", failures=(failure,))
     support = family.union_all()
-    offending = [
-        covering.universe.labels[i]
-        for i in support.indices()
-        if nm.cell_bits[i] != (1 << i)
-    ]
+    offending = neighborhoods_of_covering(covering).first_non_singleton(support.bits)
     is_matroid = check_matroid(covering.universe, family).passed
-    singleton_support = not offending
+    singleton_support = offending is None
     failures = ()
     if is_matroid != singleton_support:
         witness = {"is_matroid": is_matroid, "singleton_neighborhoods": singleton_support}
-        if offending:
-            witness["element"] = offending[0]
-        failures = (
-            AxiomFailure("equivalence", witness, note="the two sides disagree"),
-        )
+        if offending is not None:
+            witness["element"] = covering.universe.labels[offending]
+        failures = (AxiomFailure("equivalence", witness, note="the two sides disagree"),)
     return CheckReport(
         "matroid-cond",
         failures=failures,

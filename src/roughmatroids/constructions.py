@@ -43,7 +43,7 @@ def uniform_family(covering: Covering, r: int, strict: bool = False) -> SetFamil
     elif not 1 <= r <= n:
         raise ValueError(f"rank bound r={r} outside the range 1 <= r <= {n}")
     dfam = definable_family(neighborhoods_of_covering(covering))
-    return SetFamily.of(covering.universe, (m for m in dfam if len(m) <= r))
+    return SetFamily(covering.universe, tuple(b for b in dfam.masks if b.bit_count() <= r))
 
 
 def check_uniform_proposition(covering: Covering, r: int) -> CheckReport:
@@ -57,11 +57,8 @@ def check_uniform_proposition(covering: Covering, r: int) -> CheckReport:
     """
     nm = neighborhoods_of_covering(covering)
     family = uniform_family(covering, r)
-    singleton_everywhere = all(
-        nm.cell_bits[i] == (1 << i) for i in range(covering.universe.size)
-    )
-    support = family.union_all()
-    singleton_support = all(nm.cell_bits[i] == (1 << i) for i in support.indices())
+    singleton_everywhere = nm.first_non_singleton((1 << covering.universe.size) - 1) is None
+    singleton_support = nm.first_non_singleton(family.union_all().bits) is None
     rough = check_rough_matroid_covering(covering, family).passed
     matroid = check_matroid(covering.universe, family).passed
 
@@ -169,10 +166,7 @@ def family_disjoint_sum(f1: SetFamily, f2: SetFamily) -> SetFamily:
     """All pairwise unions of members, over the merged universe."""
     merged = merge_universes(f1.universe, f2.universe)
     offset = f1.universe.size
-    members = [
-        Subset(merged, a.bits | (b.bits << offset)) for a in f1 for b in f2
-    ]
-    return SetFamily.of(merged, members)
+    return SetFamily(merged, tuple(a | b << offset for a in f1.masks for b in f2.masks))
 
 
 def covering_disjoint_sum(c1: Covering, c2: Covering) -> Covering:

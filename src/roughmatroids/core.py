@@ -3,7 +3,9 @@
 Everything in this package is built over a small, ordered, labelled universe.
 Subsets are stored as bit masks over the universe's label positions, which
 keeps the exhaustive scans elsewhere in the package cheap and makes equality
-extensional for free.  All values are immutable; every operator is a pure
+extensional for free.  A ``NeighborhoodMap`` stores its cells as those int
+masks; ``Subset`` objects are views of a mask, built for the public API and
+for witnesses.  All values are immutable; every operator is a pure
 function, so structures can be shared freely across workers.
 """
 
@@ -139,7 +141,7 @@ class Subset:
         return self.bits != 0
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.universe.size) if (self.bits >> i) & 1)
+        return tuple(bit_indices(self.bits))
 
     def members(self) -> tuple[str, ...]:
         return tuple(self.universe.labels[i] for i in self.indices())
@@ -178,6 +180,14 @@ class Subset:
 
     def __repr__(self) -> str:
         return f"Subset({self.notation()})"
+
+
+def bit_indices(x: int) -> Iterator[int]:
+    """The elements of the mask x, lowest first: one step per set bit."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 # Every byte with its bits reversed and complemented.
@@ -240,19 +250,16 @@ class Covering:
         """Neighborhood of x: the intersection of all blocks containing x.
 
         Each element lies in at least one block, so the intersection is over
-        a nonempty family and always contains the element itself.  Built on
+        a nonempty family and always contains the element itself.  Each
+        block is ANDed into the cells of its own elements only.  Built on
         first use and kept with the covering (a pickled covering carries
         it), so the checkers that start from a covering share one map.
         """
         u = self.universe
-        full = (1 << u.size) - 1
-        cells = []
-        for i in range(u.size):
-            bits = full
-            for blk in self.blocks:
-                if (blk.bits >> i) & 1:
-                    bits &= blk.bits
-            cells.append(Subset(u, bits))
+        cells = [(1 << u.size) - 1] * u.size
+        for blk in self.blocks:
+            for i in bit_indices(blk.bits):
+                cells[i] &= blk.bits
         return NeighborhoodMap(u, tuple(cells))
 
     def is_partition(self) -> bool:
@@ -295,34 +302,42 @@ class BinaryRelation:
         bits = [0] * u.size
         for x, y in self.pairs:
             bits[x] |= 1 << y
-        return NeighborhoodMap(u, tuple(Subset(u, b) for b in bits))
+        return NeighborhoodMap(u, tuple(bits))
 
 
 @dataclass(frozen=True)
 class NeighborhoodMap:
-    """One subset per element: the granule the element is approximated by.
+    """One subset per element, as its membership mask: the granule the
+    element is approximated by.
 
-    For covering neighborhoods every cell contains its own element; successor
+    ``cell_bits[i]`` is the mask of element i's neighborhood; ``cells``
+    views them as ``Subset`` objects, built on first use.  For covering
+    neighborhoods every cell contains its own element; successor
     neighborhoods of a relation may be empty.  The approximation operators
     below treat both uniformly.
     """
 
     universe: Universe
-    cells: tuple[Subset, ...]
+    cell_bits: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.cells) != self.universe.size:
+        if len(self.cell_bits) != self.universe.size:
             raise ValueError("need exactly one neighborhood per element")
-        for cell in self.cells:
-            if cell.universe != self.universe:
-                raise UniverseMismatchError("neighborhood cell on a different universe")
+        top = 1 << self.universe.size
+        if not all(isinstance(b, int) and 0 <= b < top for b in self.cell_bits):
+            raise ValueError("neighborhood cells must be int masks below 2^n")
 
     @cached_property
-    def cell_bits(self) -> tuple[int, ...]:
-        return tuple(c.bits for c in self.cells)
+    def cells(self) -> tuple[Subset, ...]:
+        return tuple(Subset(self.universe, b) for b in self.cell_bits)
 
     def neighborhood(self, label: str) -> Subset:
-        return self.cells[self.universe.index(label)]
+        return Subset(self.universe, self.cell_bits[self.universe.index(label)])
+
+    def first_non_singleton(self, mask: int) -> int | None:
+        """The lowest element of ``mask`` whose neighborhood is not the
+        element alone, or None when there is none."""
+        return next((i for i in bit_indices(mask) if self.cell_bits[i] != 1 << i), None)
 
 
 def neighborhoods_of_covering(covering: Covering) -> NeighborhoodMap:

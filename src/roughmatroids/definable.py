@@ -8,14 +8,17 @@ closing the images under union and filtering for definability.  For
 covering neighborhoods the filter never removes anything (every union of
 neighborhoods is definable); for relation neighborhoods it is required,
 since a union of successor images need not be definable.  The closure
-holds at most 2^n sets and is bounded at 2^SCAN_LIMIT.
+holds at most 2^n sets and is bounded at 2^SCAN_LIMIT.  A ``SetFamily``
+is its int masks, and every scan here reads them; ``Subset`` objects are
+built for witnesses and for callers that iterate the members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import compress, repeat
+from operator import or_
 from typing import Callable, Iterable, Iterator
 from weakref import WeakValueDictionary
 
@@ -41,41 +44,55 @@ _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 @dataclass(frozen=True)
 class SetFamily:
-    """A deduplicated family of subsets in canonical order.
+    """A deduplicated family of subsets: its int masks, in canonical order.
 
+    The constructor takes masks and ``SetFamily.of`` takes ``Subset``s;
+    ``members`` views the masks as ``Subset``s, built on first use.
     Canonical order is the order of ``core.canonical_mask_key``: by
     cardinality, then by the ascending member-index tuple, so every report
-    and serialization is reproducible.  Members are always sorted into it.
-    The package relies on three consequences: the least member, when there
-    is one, comes first, the greatest comes last, and a strict superset
-    always has the higher index.
+    and serialization is reproducible.  The masks are always sorted into
+    it.  The package relies on three consequences: the least member, when
+    there is one, comes first, the greatest comes last, and a strict
+    superset always has the higher index.
     """
 
     universe: Universe
-    members: tuple[Subset, ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        u = self.universe
-        for m in self.members:
-            if m.universe is not u and m.universe != u:
-                raise UniverseMismatchError("family member on a different universe")
-        if len(self.bitset()) != len(self.members):
+        n = self.universe.size
+        masks = self.masks
+        if not all(isinstance(m, int) for m in masks):
+            raise TypeError("SetFamily takes int masks; use SetFamily.of for Subset members")
+        if masks and not (0 <= min(masks) and max(masks) < 1 << n):
+            raise ValueError(f"family masks must lie in [0, 2^{n})")
+        if len(self.bitset()) != len(masks):
             raise ValueError("family members must be distinct")
-        n = u.size
-        ordered = sorted(self.members, key=lambda m: canonical_mask_key(m.bits, n))
-        object.__setattr__(self, "members", tuple(ordered))
+        ordered = sorted(masks, key=lambda m: canonical_mask_key(m, n))
+        object.__setattr__(self, "masks", tuple(ordered))
 
     @classmethod
     def of(cls, universe: Universe, members: Iterable[Subset]) -> SetFamily:
-        return cls(universe, tuple({m.bits: m for m in members}.values()))
+        """The family of ``members``, repeats dropped.  A member on another
+        universe raises ``UniverseMismatchError``."""
+        masks = set()
+        for m in members:
+            if m.universe is not universe and m.universe != universe:
+                raise UniverseMismatchError("family member on a different universe")
+            masks.add(m.bits)
+        return cls(universe, tuple(masks))
 
     @classmethod
     def from_bits(cls, universe: Universe, bits: Iterable[int]) -> SetFamily:
-        return cls.of(universe, (Subset(universe, b) for b in set(bits)))
+        return cls(universe, tuple(set(bits)))
 
     @classmethod
     def from_labels(cls, universe: Universe, members: Iterable[Iterable[str]]) -> SetFamily:
         return cls.of(universe, (universe.subset(m) for m in members))
+
+    @cached_property
+    def members(self) -> tuple[Subset, ...]:
+        return tuple(Subset(self.universe, b) for b in self.masks)
 
     def __contains__(self, item: Subset) -> bool:
         return item.universe == self.universe and item.bits in self._bits
@@ -84,24 +101,24 @@ class SetFamily:
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.masks)
 
     def bitset(self) -> frozenset[int]:
         return self._bits
 
     @cached_property
     def _bits(self) -> frozenset[int]:
-        return frozenset(m.bits for m in self.members)
+        return frozenset(self.masks)
 
     @cached_property
     def order(self) -> MemberOrder:
         """The inclusion order of the members, built on first use and kept
         as long as the family."""
-        return MemberOrder(self.universe.size, self.members)
+        return MemberOrder(self)
 
     @cached_property
     def _positions(self) -> dict[int, int]:
-        return {m.bits: i for i, m in enumerate(self.members)}
+        return {b: i for i, b in enumerate(self.masks)}
 
     def index_mask(self, family: SetFamily) -> int | None:
         """``family`` as a mask over this family's member indices (bit i
@@ -111,8 +128,8 @@ class SetFamily:
         require_same_universe(self, family)
         positions = self._positions
         mask = 0
-        for m in family.members:
-            i = positions.get(m.bits)
+        for b in family.masks:
+            i = positions.get(b)
             if i is None:
                 return None
             mask |= 1 << i
@@ -121,24 +138,20 @@ class SetFamily:
     def subfamily(self, mask: int) -> SetFamily:
         """The members that ``mask`` selects (bit i for ``members[i]``),
         the inverse of ``index_mask``.  A selection of this family's
-        members is distinct, on its universe and in canonical order
-        already, so it is not checked again.  A mask that selects no
-        member list, because it is negative or has a bit at or past
-        ``len(self)``, raises ValueError."""
-        if not 0 <= mask < 1 << len(self.members):
+        masks is distinct, in range and in canonical order already, so it
+        is not checked again.  A mask that selects no member list, because
+        it is negative or has a bit at or past ``len(self)``, raises
+        ValueError."""
+        if not 0 <= mask < 1 << len(self.masks):
             raise ValueError(f"mask {mask} selects outside a family of {len(self)} members")
         flags = f"{mask:b}"[::-1].encode().translate(_DIGIT_FLAGS)
-        members = tuple(compress(self.members, flags))
         family = object.__new__(SetFamily)
         object.__setattr__(family, "universe", self.universe)
-        object.__setattr__(family, "members", members)
+        object.__setattr__(family, "masks", tuple(compress(self.masks, flags)))
         return family
 
     def union_all(self) -> Subset:
-        bits = 0
-        for m in self.members:
-            bits |= m.bits
-        return Subset(self.universe, bits)
+        return Subset(self.universe, reduce(or_, self.masks, 0))
 
 
 # Bits of memoised rows one table of a MemberOrder may keep, however large
@@ -184,7 +197,9 @@ class _Rows(dict):
 
 class MemberOrder:
     """The inclusion order of a family's members, as masks over member
-    indices (bit j for ``members[j]``).
+    indices (bit j for ``members[j]``).  It reads the universe size, the
+    masks and the witness ``members`` off the family and keeps only those
+    and its rows, never the family, so an order is freed with its family.
 
     Each member has an image: the member itself, or ``images[j]`` when the
     images under an operator are given.  ``has[e]`` is the row of members
@@ -206,11 +221,10 @@ class MemberOrder:
     use.
     """
 
-    def __init__(
-        self, n: int, members: tuple[Subset, ...], images: list[int] | None = None
-    ):
-        sets = [m.bits for m in members]
-        self.members = members
+    def __init__(self, family: SetFamily, images: list[int] | None = None):
+        n = family.universe.size
+        sets = family.masks
+        self.members = family.members
         self.images = images = sets if images is None else images
         self.sizes = sizes = [a.bit_count() for a in images]
         full = (1 << len(sets)) - 1
@@ -223,9 +237,9 @@ class MemberOrder:
         # lacks[e]: the members without element e
         has = self.has if images is sets else _columns(sets, n)
         lacks = [full & ~row for row in has]
-        # The row functions capture plain lists, never the order itself, so
-        # an order is freed with its family without waiting for the cycle
-        # collector.
+        # The row functions capture plain lists, never the order or the
+        # family, so an order is freed with its family without waiting for
+        # the cycle collector.
         room = _MEMO_BITS // max(len(sets), 1)
         universe = (1 << n) - 1
         self.over = _Rows(partial(_all_of, self.has, full), room)
@@ -255,7 +269,7 @@ class MemberOrder:
         whatever the images.
         """
         below = self.below
-        ups: list[list[int]] = [[] for _ in self.members]
+        ups: list[list[int]] = [[] for _ in self.sizes]
         for k in range(len(ups)):
             for j in self.maximal(below[k] & ~(1 << k)):
                 ups[j].append(k)
@@ -371,8 +385,7 @@ def check_closure(family: SetFamily) -> CheckReport:
     On failure the witness names the first offending pair, the missing
     set, and which operation produced it.
     """
-    members = family.members
-    masks = [m.bits for m in members]
+    masks = family.masks
     present = family.bitset()
     joins = [0] * len(masks)
     meets = [(1 << family.universe.size) - 1] * len(masks)
@@ -392,7 +405,7 @@ def check_closure(family: SetFamily) -> CheckReport:
             if not present.issuperset(map(combine, repeat(x), row)):
                 j = next(j for j, y in enumerate(row, i) if combine(x, y) not in present)
                 missing = Subset(family.universe, combine(x, masks[j]))
-                witness = {"x": members[i], "y": members[j], "missing": missing}
+                witness = {"x": family.members[i], "y": family.members[j], "missing": missing}
                 failures.append(AxiomFailure(tag, witness))
                 break
     return CheckReport("closure", failures=tuple(failures))

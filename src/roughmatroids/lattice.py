@@ -95,7 +95,7 @@ def build_lattice(family: SetFamily) -> LatticeDiagram:
     return LatticeDiagram(family)
 
 
-def _first_law_failure(members, axiom, arity, holds):
+def _first_law_failure(family, axiom, arity, holds):
     """The first combination of members, in ``product`` order, on which
     ``holds`` fails, as an AxiomFailure; None when it holds on all.
 
@@ -103,14 +103,14 @@ def _first_law_failure(members, axiom, arity, holds):
     in the verdict stream is decoded back into member indices, most
     significant first, so no index tuple is built per combination.
     """
-    verdicts = starmap(holds, product([m.bits for m in members], repeat=arity))
+    verdicts = starmap(holds, product(family.masks, repeat=arity))
     k = next(compress(count(), map(not_, verdicts)), None)
     if k is None:
         return None
     combo = []
     for _ in range(arity):
-        k, i = divmod(k, len(members))
-        combo.append(members[i])
+        k, i = divmod(k, len(family))
+        combo.append(family.members[i])
     names = ("a", "b", "c")[:arity]
     return AxiomFailure(axiom, dict(zip(names, reversed(combo))))
 
@@ -120,7 +120,6 @@ def check_lattice_laws(diagram: LatticeDiagram) -> CheckReport:
     join/meet over all pairs and triples of lattice members.
 
     Each law lists its canonically first counterexample on failure."""
-    members = diagram.family.members
     laws = (
         ("P1-idempotence", 1, lambda a: (a | a) == a and (a & a) == a),
         ("P2-commutativity", 2, lambda a, b: (a | b) == (b | a) and (a & b) == (b & a)),
@@ -133,7 +132,7 @@ def check_lattice_laws(diagram: LatticeDiagram) -> CheckReport:
     )
     failures = []
     for axiom, arity, holds in laws:
-        failure = _first_law_failure(members, axiom, arity, holds)
+        failure = _first_law_failure(diagram.family, axiom, arity, holds)
         if failure is not None:
             failures.append(failure)
     return CheckReport("lattice-laws", failures=tuple(failures))
@@ -147,29 +146,22 @@ def check_atomicity(diagram: LatticeDiagram) -> CheckReport:
     definable-set lattice is a legitimate finding, not an input error.  The atom list is always included in the
     report details.
     """
-    members = diagram.family.members
+    family = diagram.family
+    masks = family.masks
     atom_idx = sorted(j for i, j in diagram.edges if i == 0)
-    atoms = tuple(members[j] for j in atom_idx)
+    atoms = [masks[j] for j in atom_idx]
     failures: list[AxiomFailure] = []
-    for m in members:
-        join = diagram.bottom.bits
+    for k, m in enumerate(masks):
+        join = masks[0]
         for a in atoms:
-            if a.bits & ~m.bits == 0:
-                join |= a.bits
-        if join != m.bits:
-            failures.append(
-                AxiomFailure(
-                    "atomicity",
-                    {"member": m},
-                    note="member is not the join of the atoms below it",
-                )
-            )
+            if a & ~m == 0:
+                join |= a
+        if join != m:
+            note = "member is not the join of the atoms below it"
+            failures.append(AxiomFailure("atomicity", {"member": family.members[k]}, note=note))
             break
-    return CheckReport(
-        "atomicity",
-        failures=tuple(failures),
-        details={"atoms": [a.notation() for a in atoms]},
-    )
+    details = {"atoms": [family.members[j].notation() for j in atom_idx]}
+    return CheckReport("atomicity", failures=tuple(failures), details=details)
 
 
 def export_dot(diagram: LatticeDiagram) -> str:

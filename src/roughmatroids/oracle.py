@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import eq
 from string import ascii_lowercase
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .core import (
     SCAN_LIMIT,
@@ -26,6 +26,7 @@ from .core import (
     SizeBoundError,
     Subset,
     Universe,
+    bit_indices,
     lower_approx_bits,
     neighborhoods_of_covering,
     upper_approx_bits,
@@ -306,8 +307,7 @@ def _extension_scan(
     Returns whether all pairs agreed, and the failure at the first pair
     with |D1| < |D2| that did not, where the scan stops.
     """
-    members = family.members
-    masks = [m.bits for m in members]
+    masks = family.masks
     present = family.bitset()
     full = (1 << len(cells)) - 1
     agreed = True
@@ -317,25 +317,17 @@ def _extension_scan(
         gap = masks[j] & ~masks[i]
         if i not in addable:
             x = masks[i]
-            addable[i] = sum(b for b in _bits(full & ~x) if x | b in present)
+            addable[i] = sum(1 << e for e in bit_indices(full & ~x) if x | 1 << e in present)
         if gap not in predicted:
-            predicted[gap] = sum(b for b in _bits(gap) if gap & ~b & cells[b.bit_length() - 1])
+            predicted[gap] = sum(1 << e for e in bit_indices(gap) if gap & ~(1 << e) & cells[e])
         wrong = (gap & ~addable[i]) ^ predicted[gap]
         if wrong:
             agreed = False
-            if len(members[i]) < len(members[j]):
+            if masks[i].bit_count() < masks[j].bit_count():
                 d = family.universe.labels[(wrong & -wrong).bit_length() - 1]
-                witness = {"D1": members[i], "D2": members[j], "d": d}
+                witness = {"D1": family.members[i], "D2": family.members[j], "d": d}
                 return agreed, AxiomFailure("extension-biconditional", witness)
     return agreed, None
-
-
-def _bits(x: int) -> Iterator[int]:
-    """The one-bit masks of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low
-        x ^= low
 
 
 def _sample_family_masks(rng: random.Random, base: int, count: int) -> list[int]:
@@ -441,7 +433,7 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
             # The indices rng.choice(dfam.members) picks one at a time.  All
             # triples are drawn up front: no triple of ints fails these laws,
             # so a check that stopped drawing at a failure draws them all too.
-            masks = [m.bits for m in dfam.members]
+            masks = dfam.masks
             picks = [masks[i] for i in _choice_indices(rng, len(masks), 3 * _SAMPLED_TRIPLES)]
             laws_ok = all(map(_triple_laws_hold, picks[0::3], picks[1::3], picks[2::3]))
             failed = AxiomFailure("lattice-laws", {}, note="sampled triple failed")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +94,19 @@ class TestSubset:
         for bits in (-1, 1 << 2):
             with pytest.raises(ValueError, match="out of range"):
                 Subset(u, bits)
+
+    def test_indices_are_the_positions_that_hold_a_bit(self):
+        rng = random.Random(19)
+        widths = [1, 2, 3, 7, 8, 9, 63, 64, 65, 200, 1024]
+        with pytest.warns(UserWarning):
+            universes = {w: Universe(tuple(f"x{i}" for i in range(w))) for w in widths}
+        for width, u in universes.items():
+            masks = [0, (1 << width) - 1, 1 << (width - 1)]
+            masks += [rng.getrandbits(width) for _ in range(20)]
+            masks += [sum(1 << i for i in rng.sample(range(width), min(width, 3))) for _ in range(5)]
+            for bits in masks:
+                own = tuple(i for i in range(width) if bits >> i & 1)
+                assert Subset(u, bits).indices() == own
 
     def test_membership_reads_the_members(self):
         # a label outside the universe is not a member, as for Universe
@@ -216,7 +231,7 @@ class TestSuccessorNeighborhoods:
                 u.subset(u.labels[y] for y in range(u.size) if (x, y) in relation.pairs)
                 for x in range(u.size)
             ]
-            return NeighborhoodMap(u, tuple(cells))
+            return NeighborhoodMap(u, tuple(cell.bits for cell in cells))
 
         relations = [rel4] + [
             random_relation(n, density, seed)
@@ -242,13 +257,20 @@ class TestNeighborhoodMap:
     def test_rejects_a_cell_count_other_than_the_universe_size(self, count):
         u = Universe(("a", "b"))
         with pytest.raises(ValueError, match="one neighborhood per element"):
-            NeighborhoodMap(u, (u.full(),) * count)
+            NeighborhoodMap(u, (0b11,) * count)
 
     def test_rejects_a_cell_on_another_universe(self):
         u = Universe(("a", "b"))
-        stray = Universe(("a", "b", "c")).subset(["a"])
-        with pytest.raises(UniverseMismatchError):
-            NeighborhoodMap(u, (u.subset(["a"]), stray))
+        stray = Universe(("a", "b", "c")).subset(["c"])
+        for cell in (stray.bits, stray, -1):
+            with pytest.raises(ValueError, match="int masks below 2"):
+                NeighborhoodMap(u, (0b01, cell))
+
+    def test_cells_view_the_masks_in_order(self, hex_covering, rel4):
+        for nm in (hex_covering.neighborhoods, rel4.neighborhoods):
+            u = nm.universe
+            assert nm.cells == tuple(Subset(u, b) for b in nm.cell_bits)
+            assert [nm.neighborhood(lab) for lab in u.labels] == list(nm.cells)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from roughmatroids import (
     Covering,
     SetFamily,
     SizeBoundError,
+    Subset,
     Universe,
     UniverseMismatchError,
     check_closure,
@@ -27,6 +28,7 @@ from roughmatroids import (
 from roughmatroids.fileio import dumps, report_payload
 from roughmatroids.report import AxiomFailure, CheckReport
 from conftest import HEX_DEFINABLE, MIXED4_DEFINABLE
+from test_acceptance import all_neighborhood_signatures
 
 
 def brute_definable(nm):
@@ -245,13 +247,47 @@ class TestSetFamily:
     def test_rejects_repeated_members(self):
         u = Universe(("a", "b"))
         with pytest.raises(ValueError, match="distinct"):
-            SetFamily(u, (u.subset(["a"]), u.subset(["a"])))
+            SetFamily(u, (0b01, 0b01))
+
+    def test_rejects_a_subset_as_a_mask(self):
+        u = Universe(("a", "b"))
+        with pytest.raises(TypeError, match=r"SetFamily\.of"):
+            SetFamily(u, (0, u.subset(["a"])))
+
+    @pytest.mark.parametrize("mask", [-1, 0b100, 1 << 40])
+    def test_rejects_a_mask_out_of_range(self, mask):
+        u = Universe(("a", "b"))
+        with pytest.raises(ValueError, match="must lie in"):
+            SetFamily(u, (0, mask))
 
     def test_rejects_a_member_on_another_universe(self):
         u = Universe(("a", "b"))
         stray = Universe(("a", "b", "c")).subset(["a"])
         with pytest.raises(UniverseMismatchError):
-            SetFamily(u, (u.empty(), stray))
+            SetFamily.of(u, (u.empty(), stray))
+
+    def test_of_drops_repeated_members(self):
+        u = Universe(("a", "b"))
+        a = u.subset(["a"])
+        family = SetFamily.of(u, [u.full(), a, u.subset(["a"]), a])
+        assert family == SetFamily(u, (0b11, 0b01))
+        assert len(family) == 2
+
+    def test_members_view_the_masks_in_order(self, hex_covering, rel4):
+        for nm in (hex_covering.neighborhoods, rel4.neighborhoods):
+            family = definable_family(nm)
+            u = family.universe
+            assert family.members == tuple(Subset(u, b) for b in family.masks)
+            assert list(family) == list(family.members)
+
+    def test_of_rebuilds_every_definable_family_up_to_four_elements(self):
+        families = 0
+        for n in (1, 2, 3, 4):
+            for covering in all_neighborhood_signatures(n):
+                family = definable_family(covering.neighborhoods)
+                assert SetFamily.of(family.universe, family.members) == family
+                families += 1
+        assert families == 1 + 4 + 29 + 355
 
 
 class TestSubfamily:

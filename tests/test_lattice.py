@@ -64,7 +64,7 @@ class TestBuildLattice:
 
     def test_bottom_and_top_do_not_depend_on_member_order(self):
         u = Universe(("a", "b"))
-        diagram = build_lattice(SetFamily(u, (u.full(), u.empty())))
+        diagram = build_lattice(SetFamily(u, (0b11, 0)))
         assert diagram.bottom == u.empty()
         assert diagram.top == u.full()
         assert check_atomicity(diagram).details["atoms"] == ["{a, b}"]

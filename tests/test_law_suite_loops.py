@@ -32,6 +32,7 @@ from itertools import product
 import pytest
 
 from roughmatroids import (
+    Covering,
     EnumerationBudget,
     SetFamily,
     Subset,
@@ -84,8 +85,8 @@ def one_at_a_time_distinct(rng, upper, count):
 
 def validated_subfamily(dfam, mask):
     """The selected members, through the validating constructor."""
-    members = tuple(m for i, m in enumerate(dfam.members) if mask >> i & 1)
-    return SetFamily(dfam.universe, members)
+    masks = tuple(b for i, b in enumerate(dfam.masks) if mask >> i & 1)
+    return SetFamily(dfam.universe, masks)
 
 
 def scan_first_law_failure(members, axiom, arity, holds):
@@ -207,7 +208,7 @@ def blocks_neighborhoods(covering):
         for blk in covering.blocks:
             if (blk.bits >> i) & 1:
                 bits &= blk.bits
-        cells.append(Subset(u, bits))
+        cells.append(bits)
     return NeighborhoodMap(u, tuple(cells))
 
 
@@ -295,10 +296,10 @@ def test_law_scan_names_the_same_first_failure():
     outcomes = set()
     for _ in range(60):
         bits = {rng.getrandbits(5) for _ in range(rng.randint(1, 12))}
-        members = SetFamily.from_bits(universe, bits).members
+        family = SetFamily.from_bits(universe, bits)
         for axiom, arity, holds in CONTRIVED:
-            new = _first_law_failure(members, axiom, arity, holds)
-            assert new == scan_first_law_failure(members, axiom, arity, holds)
+            new = _first_law_failure(family, axiom, arity, holds)
+            assert new == scan_first_law_failure(family.members, axiom, arity, holds)
             outcomes.add((axiom, new is None))
     # every contrived law both fails somewhere and holds somewhere
     assert outcomes >= {(axiom, False) for axiom, *_ in CONTRIVED[:3]}
@@ -359,8 +360,21 @@ def test_ci3_prime_walk_matches_on_seeded_coverings():
 
 
 def test_neighborhood_map_equals_the_block_intersections():
-    for covering in _coverings():
+    shapes = [(n, density, seed) for n in (5, 9, 16) for density, seed in ((0.2, 1), (0.7, 2))]
+    coverings = _coverings() + [random_covering(*shape) for shape in shapes]
+    # 1,024 labels: seeded blocks of 2 to 60 elements, each element left
+    # uncovered paired with its successor
+    rng = random.Random(7)
+    with pytest.warns(UserWarning):
+        wide = Universe(tuple(f"x{i}" for i in range(1024)))
+    blocks = {sum(1 << i for i in rng.sample(range(1024), rng.randrange(2, 60))) for _ in range(300)}
+    covered = sum(1 << i for i in range(1024) if any(b >> i & 1 for b in blocks))
+    blocks |= {3 << i if i < 1023 else 3 << 1022 for i in range(1024) if not covered >> i & 1}
+    coverings.append(Covering(wide, tuple(Subset(wide, b) for b in blocks)))
+    for covering in coverings:
         assert covering.neighborhoods == blocks_neighborhoods(covering)
+    cells = coverings[-1].neighborhoods.cell_bits
+    assert 0 < sum(cell != 1 << i for i, cell in enumerate(cells)) < 1024
 
 
 def test_neighborhood_map_is_built_once_per_covering():

@@ -235,7 +235,7 @@ def sparse_masks(rng, width, count):
 class TestCanonicalOrder:
     def test_members_out_of_order_are_sorted(self):
         u = Universe(("a", "b"))
-        family = SetFamily(u, (u.full(), u.subset(["b"]), u.empty(), u.subset(["a"])))
+        family = SetFamily(u, (0b11, 0b10, 0, 0b01))
         twin = SetFamily.from_bits(u, [0, 1, 2, 3])
         assert family == twin
         assert family.members == twin.members
@@ -246,7 +246,7 @@ class TestCanonicalOrder:
         for universe, masks in ((u, range(4)), (wide, set(sparse_masks(rng, 1024, 500)))):
             ordered = sorted(masks, key=positional_key)
             shuffled = rng.sample(ordered, len(ordered))
-            family = SetFamily(universe, tuple(Subset(universe, b) for b in shuffled))
+            family = SetFamily(universe, tuple(shuffled))
             assert [m.bits for m in family] == ordered
 
     def test_key_is_the_size_then_the_ascending_indices(self):
@@ -259,7 +259,7 @@ class TestCanonicalOrder:
     def test_equal_sizes_order_by_lowest_differing_element(self):
         u = Universe(tuple("abcd"))
         masks = [0b1100, 0b0011, 0b1010, 0b0101, 0b0110, 0b1001]
-        family = SetFamily(u, tuple(Subset(u, b) for b in masks))
+        family = SetFamily(u, tuple(masks))
         keys = [canonical_mask_key(m.bits, 4) for m in family]
         assert keys == sorted(keys)
         assert [m.bits for m in family] == [0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100]
@@ -284,8 +284,8 @@ class TestCanonicalOrder:
         for family in families:
             reordered = list(family.members)
             rng.shuffle(reordered)
-            twin = SetFamily(family.universe, tuple(reversed(family.members)))
-            shuffled = SetFamily(family.universe, tuple(reordered))
+            twin = SetFamily(family.universe, tuple(reversed(family.masks)))
+            shuffled = SetFamily.of(family.universe, reordered)
             assert twin == family == shuffled
             for check in checks:
                 assert same(check(twin), check(family))
@@ -316,13 +316,13 @@ class TestOrder:
         n = 14
         u = Universe(tuple(f"x{i}" for i in range(n)))
         bits = rng.sample(range(1 << n), 2 * definable._BLOCK + 77)
-        members = SetFamily.from_bits(u, bits).members
-        masks = [m.bits for m in members]
+        family = SetFamily.from_bits(u, bits)
+        masks = list(family.masks)
         own = [row(a >> e & 1 for a in masks) for e in range(n)]
         assert definable._columns(masks, n) == own
         grown = [a | rng.getrandbits(n) for a in masks]
         for images in (None, grown):
-            order = definable.MemberOrder(n, members, images)
+            order = definable.MemberOrder(family, images)
             seen = masks if images is None else images
             assert order.has == [row(a >> e & 1 for a in seen) for e in range(n)]
             assert order.larger == [row(a.bit_count() > s for a in seen) for s in range(n + 1)]
@@ -411,7 +411,7 @@ class TestMonotonicity:
                         assert x & ~y or not ax & ~ay
                 # below[j] is the row of members inside j whose image also
                 # lies inside j's image: the image condition adds nothing
-                order = definable.MemberOrder(nm.universe.size, dfam.members, images)
+                order = definable.MemberOrder(dfam, images)
                 for j, (y, ay) in enumerate(zip(masks, images)):
                     row = sum(
                         1 << i for i, x in enumerate(masks) if not x & ~y and not images[i] & ~ay

@@ -112,7 +112,7 @@ def _families(dfam: SetFamily, rng: random.Random) -> list[SetFamily]:
     else:
         masks = sorted({rng.getrandbits(base) for _ in range(SAMPLED_SUBFAMILIES)})
     families = [
-        SetFamily(dfam.universe, tuple(m for i, m in enumerate(dfam.members) if (mask >> i) & 1))
+        SetFamily.of(dfam.universe, tuple(m for i, m in enumerate(dfam.members) if (mask >> i) & 1))
         for mask in masks
     ]
     n = dfam.universe.size
