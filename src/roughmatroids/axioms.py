@@ -1,7 +1,8 @@
 """Axiom-system checkers with replayable witnesses.
 
 Seven checkers share one reporting discipline: every axiom of the system is
-evaluated (no short-circuiting between axioms), each failed axiom is listed
+evaluated (no short-circuiting between axioms; only the kernel's
+verdict-only callers stop at the first failure), each failed axiom is listed
 with the canonically smallest witness instantiating its quantifiers, and
 replaying a witness against the matching predicate below reproduces the
 failure.  Scans iterate families in canonical order, so reports are
@@ -37,8 +38,8 @@ them, and every witness is the one that scan finds.  A ``SetFamily`` is
 its int masks, so ``_check_on`` and ``check_ci3_prime`` read a candidate's
 masks into its subfamily index (or a definability failure) with
 ``index_mask``; enumeration and ``cross_check`` hand their subfamily
-indices to the kernel directly.  ``Subset`` objects appear only in
-witnesses.
+indices to the kernel directly and, reading only the verdict, have it
+stop at the first failure.  ``Subset`` objects appear only in witnesses.
 
 The approximation-based systems restrict heredity to candidates that are
 both included in the independent set and dominated by it under the
@@ -187,17 +188,21 @@ def _check_rough_given(
     picked: int,
     tags: tuple[str, str, str],
     include_exchange: bool = True,
+    *,
+    stop_at_first: bool = False,
 ) -> CheckReport:
     """The rough-matroid kernel on a candidate given as ``picked``, a mask
     over the member indices of the definable family whose order is
     ``order``: the empty set (member 0, the least under ``SetFamily``),
-    heredity over definable subsets and exchange, on the members' images."""
+    heredity over definable subsets and exchange, on the members' images.
+    ``stop_at_first`` returns at the first failure, witness included, for the
+    verdict-only callers: enumeration and ``cross_check``'s CI3' stage."""
     t1, t2, t3 = tags
     members, below = order.members, order.below
     failures: list[AxiomFailure] = []
     if not picked & 1:
         failures.append(AxiomFailure(t1, {"missing": members[0]}))
-    rest = picked
+    rest = 0 if stop_at_first and failures else picked
     while rest:
         low = rest & -rest
         rest ^= low
@@ -207,7 +212,7 @@ def _check_rough_given(
             sub = (missing & -missing).bit_length() - 1
             failures.append(AxiomFailure(t2, {"I": members[j], "I'": members[sub]}))
             break
-    if include_exchange:
+    if include_exchange and not (stop_at_first and failures):
         images, sizes, larger = order.images, order.sizes, order.larger
         over = order.over
         rest = picked

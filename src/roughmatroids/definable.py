@@ -94,7 +94,9 @@ class SetFamily:
     def members(self) -> tuple[Subset, ...]:
         return tuple(Subset(self.universe, b) for b in self.masks)
 
-    def __contains__(self, item: Subset) -> bool:
+    def __contains__(self, item: object) -> bool:
+        if not isinstance(item, Subset):
+            return False
         return item.universe == self.universe and item.bits in self._bits
 
     def __iter__(self) -> Iterator[Subset]:

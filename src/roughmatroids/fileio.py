@@ -21,7 +21,7 @@ from __future__ import annotations
 import io
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .core import BinaryRelation, Covering, Subset, Universe
 from .definable import SetFamily
@@ -59,17 +59,26 @@ def _universe_from(payload: Any, where: str) -> Universe:
         raise InputFormatError(f"{where}: {exc}") from exc
 
 
-def _subset_from(universe: Universe, labels: Any, where: str) -> Subset:
-    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-        raise InputFormatError(f"{where}: subsets must be lists of labels")
-    seen = set()
-    for lab in labels:
-        if lab in seen:
-            raise InputFormatError(f"{where}: duplicate label {lab!r}")
-        seen.add(lab)
-        if lab not in universe:
-            raise InputFormatError(f"{where}: unknown label {lab!r}")
-    return universe.subset(labels)
+def _subset_reader(universe: Universe, where: str) -> Callable[[Any], Subset]:
+    """Reads a list of distinct labels, each looked up once; a label that is
+    not a string is reported ahead of a repeated or unknown one."""
+    bit_of = {lab: 1 << i for i, lab in enumerate(universe.labels)}
+
+    def read(labels: Any) -> Subset:
+        if not isinstance(labels, list):
+            raise InputFormatError(f"{where}: subsets must be lists of labels")
+        bits = 0
+        for lab in labels:
+            bit = bit_of.get(lab, 0) if isinstance(lab, str) else 0
+            if not bit or bits & bit:
+                if not all(isinstance(x, str) for x in labels):
+                    raise InputFormatError(f"{where}: subsets must be lists of labels")
+                kind = "duplicate" if bit else "unknown"
+                raise InputFormatError(f"{where}: {kind} label {lab!r}")
+            bits |= bit
+        return Subset(universe, bits)
+
+    return read
 
 
 def _read_json(path: str | Path, where: str) -> Any:
@@ -101,7 +110,7 @@ def load_structure(path: str | Path) -> tuple[Universe, Covering | BinaryRelatio
         raw = payload["covering"]
         if not isinstance(raw, list):
             raise InputFormatError(f"{where}: 'covering' must be a list of subsets")
-        blocks = tuple(_subset_from(universe, b, where) for b in raw)
+        blocks = tuple(map(_subset_reader(universe, where), raw))
         return universe, Covering(universe, blocks)
     raw = payload["relation"]
     if not isinstance(raw, list):
@@ -131,7 +140,7 @@ def load_family(path: str | Path, universe: Universe | None = None) -> SetFamily
     raw = payload.get("family")
     if not isinstance(raw, list):
         raise InputFormatError(f"{where}: 'family' must be a list of subsets")
-    members = tuple(_subset_from(file_universe, m, where) for m in raw)
+    members = tuple(map(_subset_reader(file_universe, where), raw))
     return SetFamily.of(file_universe, members)
 
 
@@ -150,7 +159,7 @@ def parse_set_literal(text: str, universe: Universe) -> Subset:
     labels = [part.strip() for part in inner.split(",")]
     if any(not lab for lab in labels):
         raise InputFormatError(f"empty label in set literal {text!r}")
-    return _subset_from(universe, labels, f"set literal {text!r}")
+    return _subset_reader(universe, f"set literal {text!r}")(labels)
 
 
 def subset_payload(s: Subset) -> list[str]:

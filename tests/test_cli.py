@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -93,6 +94,57 @@ class TestLoaders:
         universe, _ = load_structure(fx("cov_hex.json"))
         with pytest.raises(InputFormatError, match="does not match"):
             load_family(fx("fam_mixed4_pass.json"), universe)
+
+
+def three_pass_reading(universe, labels):
+    """A subset as the loader read it when it checked each label three
+    times: its ``Subset``, or the text of the error it raised."""
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        return "subsets must be lists of labels"
+    seen = set()
+    for lab in labels:
+        if lab in seen:
+            return f"duplicate label {lab!r}"
+        seen.add(lab)
+        if lab not in universe:
+            return f"unknown label {lab!r}"
+    return universe.subset(labels)
+
+
+class TestSubsetLabels:
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (["a", "a", 3], "subsets must be lists of labels"),
+            (["zz", None], "subsets must be lists of labels"),
+            (["a", "zz", "a"], "unknown label 'zz'"),
+            (["a", "b", "a", "zz"], "duplicate label 'a'"),
+        ],
+    )
+    def test_a_non_string_label_is_reported_first(self, tmp_path, labels, message):
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps({"universe": ["a", "b"], "covering": [["a", "b"], labels]}))
+        with pytest.raises(InputFormatError) as exc:
+            load_structure(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_every_subset_reads_as_with_three_checks_per_label(self, tmp_path):
+        u = Universe(("a", "b", "c"))
+        rng = random.Random(5)
+        pool = ["a", "b", "c", "zz", 3, None, ["a"]]
+        path = tmp_path / "fam.json"
+        for _ in range(400):
+            labels = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+            if rng.random() < 0.05:
+                labels = "a"
+            path.write_text(json.dumps({"universe": list(u.labels), "family": [labels]}))
+            expected = three_pass_reading(u, labels)
+            if isinstance(expected, str):
+                with pytest.raises(InputFormatError) as exc:
+                    load_family(path)
+                assert str(exc.value) == f"{path}: {expected}"
+            else:
+                assert load_family(path).members == (expected,)
 
 
 class TestCheckCommand:

@@ -266,6 +266,11 @@ class TestSetFamily:
         with pytest.raises(UniverseMismatchError):
             SetFamily.of(u, (u.empty(), stray))
 
+    @pytest.mark.parametrize("item", [0, "a", None])
+    def test_anything_but_a_subset_is_not_a_member(self, item):
+        family = SetFamily(Universe(("a", "b")), (0, 1))
+        assert item not in family
+
     def test_of_drops_repeated_members(self):
         u = Universe(("a", "b"))
         a = u.subset(["a"])

@@ -435,9 +435,11 @@ class TestEnumerationCalls:
         covering = Covering.from_labels(u, [["a", "b"], ["b", "c"]])
         checked, built = [], []
 
-        def kernel(check, order, picked, tags, include_exchange=True):
+        def kernel(check, order, picked, tags, include_exchange=True, *, stop_at_first=False):
             checked.append(picked)
-            return _check_rough_given(check, order, picked, tags, include_exchange)
+            return _check_rough_given(
+                check, order, picked, tags, include_exchange, stop_at_first=stop_at_first
+            )
 
         def subfamily(dfam, mask):
             built.append(mask)
