@@ -50,9 +50,9 @@ def require_same_universe(a, b) -> None:
 class Universe:
     """Ordered, finite, nonempty ground set.
 
-    The position of a label is its element index; all subsets of this
-    universe are bit masks over those positions.  Canonical output ordering
-    everywhere in the package follows the declaration order given here.
+    A label's position is its element index, kept in the package's one
+    label table and read through ``position``; subsets are bit masks over
+    those positions, and canonical output follows the declaration order.
     """
 
     labels: tuple[str, ...]
@@ -80,13 +80,17 @@ class Universe:
     def size(self) -> int:
         return len(self.labels)
 
-    def __contains__(self, label: str) -> bool:
-        return isinstance(label, str) and label in self._positions
+    def position(self, label: object) -> int | None:
+        """The element index of ``label``; None for anything not a label."""
+        return self._positions.get(label) if isinstance(label, str) else None
+
+    def __contains__(self, label: object) -> bool:
+        return self.position(label) is not None
 
     def index(self, label: str) -> int:
-        if label not in self:
+        if (i := self.position(label)) is None:
             raise KeyError(f"unknown label {label!r}")
-        return self._positions[label]
+        return i
 
     def subset(self, labels: Iterable[str] = ()) -> Subset:
         bits = 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 import io
 import json
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from .core import BinaryRelation, Covering, Subset, Universe
 from .definable import SetFamily
@@ -59,26 +59,21 @@ def _universe_from(payload: Any, where: str) -> Universe:
         raise InputFormatError(f"{where}: {exc}") from exc
 
 
-def _subset_reader(universe: Universe, where: str) -> Callable[[Any], Subset]:
-    """Reads a list of distinct labels, each looked up once; a label that is
-    not a string is reported ahead of a repeated or unknown one."""
-    bit_of = {lab: 1 << i for i, lab in enumerate(universe.labels)}
-
-    def read(labels: Any) -> Subset:
-        if not isinstance(labels, list):
-            raise InputFormatError(f"{where}: subsets must be lists of labels")
-        bits = 0
-        for lab in labels:
-            bit = bit_of.get(lab, 0) if isinstance(lab, str) else 0
-            if not bit or bits & bit:
-                if not all(isinstance(x, str) for x in labels):
-                    raise InputFormatError(f"{where}: subsets must be lists of labels")
-                kind = "duplicate" if bit else "unknown"
-                raise InputFormatError(f"{where}: {kind} label {lab!r}")
-            bits |= bit
-        return Subset(universe, bits)
-
-    return read
+def _read_subset(universe: Universe, labels: Any, where: str) -> Subset:
+    """A list of distinct labels as a subset, each looked up once; a label
+    that is not a string is reported ahead of a repeated or unknown one."""
+    if not isinstance(labels, list):
+        raise InputFormatError(f"{where}: subsets must be lists of labels")
+    bits = 0
+    for lab in labels:
+        i = universe.position(lab)
+        if i is None or bits >> i & 1:
+            if not all(isinstance(x, str) for x in labels):
+                raise InputFormatError(f"{where}: subsets must be lists of labels")
+            kind = "unknown" if i is None else "duplicate"
+            raise InputFormatError(f"{where}: {kind} label {lab!r}")
+        bits |= 1 << i
+    return Subset(universe, bits)
 
 
 def _read_json(path: str | Path, where: str) -> Any:
@@ -110,7 +105,7 @@ def load_structure(path: str | Path) -> tuple[Universe, Covering | BinaryRelatio
         raw = payload["covering"]
         if not isinstance(raw, list):
             raise InputFormatError(f"{where}: 'covering' must be a list of subsets")
-        blocks = tuple(map(_subset_reader(universe, where), raw))
+        blocks = tuple(_read_subset(universe, b, where) for b in raw)
         return universe, Covering(universe, blocks)
     raw = payload["relation"]
     if not isinstance(raw, list):
@@ -119,11 +114,11 @@ def load_structure(path: str | Path) -> tuple[Universe, Covering | BinaryRelatio
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise InputFormatError(f"{where}: relation entries must be pairs")
-        for lab in entry:
-            if lab not in universe:
-                raise InputFormatError(f"{where}: unknown label {lab!r}")
-        pairs.append((entry[0], entry[1]))
-    return universe, BinaryRelation.from_labels(universe, pairs)
+        pair = tuple(map(universe.position, entry))
+        if None in pair:
+            raise InputFormatError(f"{where}: unknown label {entry[pair.index(None)]!r}")
+        pairs.append(pair)
+    return universe, BinaryRelation(universe, frozenset(pairs))
 
 
 def load_family(path: str | Path, universe: Universe | None = None) -> SetFamily:
@@ -140,7 +135,7 @@ def load_family(path: str | Path, universe: Universe | None = None) -> SetFamily
     raw = payload.get("family")
     if not isinstance(raw, list):
         raise InputFormatError(f"{where}: 'family' must be a list of subsets")
-    members = tuple(map(_subset_reader(file_universe, where), raw))
+    members = tuple(_read_subset(file_universe, m, where) for m in raw)
     return SetFamily.of(file_universe, members)
 
 
@@ -159,7 +154,7 @@ def parse_set_literal(text: str, universe: Universe) -> Subset:
     labels = [part.strip() for part in inner.split(",")]
     if any(not lab for lab in labels):
         raise InputFormatError(f"empty label in set literal {text!r}")
-    return _subset_reader(universe, f"set literal {text!r}")(labels)
+    return _read_subset(universe, labels, f"set literal {text!r}")
 
 
 def subset_payload(s: Subset) -> list[str]:

@@ -65,6 +65,40 @@ class TestUniverse:
         assert same == u and hash(same) == hash(u)
         assert "_positions" not in repr(Universe(("a",)))
 
+    def test_position_reads_the_label_table(self):
+        u = Universe(("x", "y"))
+        assert [u.position(lab) for lab in u.labels] == [0, 1]
+        for other in ("z", "", 0, None, ["x"], {"x": 0}, ("x",)):
+            assert u.position(other) is None and other not in u
+
+    def test_index_makes_one_dictionary_lookup(self):
+        class CountingDict(dict):
+            lookups = 0
+
+            def __getitem__(self, key):
+                CountingDict.lookups += 1
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                CountingDict.lookups += 1
+                return super().get(key, default)
+
+            def __contains__(self, key):
+                CountingDict.lookups += 1
+                return super().__contains__(key)
+
+        u = Universe(("x", "y"))
+        object.__setattr__(u, "_positions", CountingDict(x=0, y=1))
+        assert u.index("y") == 1 and CountingDict.lookups == 1
+        # an unknown string costs one lookup; a label of another type, the
+        # unhashable ones included, is refused before any
+        for bad, lookups in (("w", 1), (3, 0), (["x"], 0), ({"x": 0}, 0)):
+            CountingDict.lookups = 0
+            with pytest.raises(KeyError) as exc:
+                u.index(bad)
+            assert exc.value.args == (f"unknown label {bad!r}",)
+            assert CountingDict.lookups == lookups
+
     def test_large_universe_accepted_with_warning(self):
         with pytest.warns(UserWarning, match="bounded at 20"):
             u = Universe(tuple(f"x{i}" for i in range(21)))
