@@ -9,11 +9,24 @@ Family files carry a universe plus a list of subsets:
 
     {"universe": ["a", "b"], "family": [[], ["a"]]}
 
-Unknown labels are rejected with the offending label named.  Input is
-bounded: a file is read up to ``MAX_INPUT_BYTES`` bytes and a universe
-holds at most ``MAX_LABELS`` labels; past either bound loading fails with
-``InputFormatError``.  All output is canonically ordered and
-byte-identical across runs for identical input.
+Each label is looked up once, in the universe's label table.  Loading
+fails with ``InputFormatError``, naming the file or set literal, on:
+
+- a file past ``MAX_INPUT_BYTES`` bytes, or not valid UTF-8;
+- invalid JSON, nesting too deep to parse, a repeated object key, or an
+  integer literal too long to convert;
+- a top level that is not an object, or a missing or mistyped key;
+- a universe past ``MAX_LABELS`` labels, or with a repeated, empty or
+  non-string label, or one that UTF-8 cannot encode;
+- a subset that is not a list of distinct labels, a relation entry that
+  is not a pair, an unknown label (the first in file order is named),
+  or a family whose universe is not its structure's.
+
+A covering with an empty or repeated block, or one that leaves an
+element uncovered, raises ``InvalidCoveringError`` instead.
+
+All output is canonically ordered and byte-identical across runs for
+identical input.
 """
 
 from __future__ import annotations
@@ -81,14 +94,32 @@ def _read_json(path: str | Path, where: str) -> Any:
         data = f.read(MAX_INPUT_BYTES + 1)
     if len(data) > MAX_INPUT_BYTES:
         raise InputFormatError(f"{where}: file exceeds the bound of {MAX_INPUT_BYTES} bytes")
-    # decoded as Path.read_text decodes it, universal newlines included
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     try:
-        return json.loads(text)
+        # decoded as Path.read_text decodes it, universal newlines included
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError:
+        raise InputFormatError(f"{where}: file is not valid UTF-8") from None
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputFormatError(f"{where}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{where}: invalid JSON ({exc})") from exc
     except RecursionError:
         raise InputFormatError(f"{where}: JSON nested too deeply") from None
+    except InputFormatError:
+        raise
+    except ValueError:
+        # json's one other ValueError: an integer literal with more digits
+        # than int() converts (sys.get_int_max_str_digits())
+        raise InputFormatError(f"{where}: integer literal too long") from None
 
 
 def load_structure(path: str | Path) -> tuple[Universe, Covering | BinaryRelation]:

@@ -394,6 +394,37 @@ class TestOtherCommands:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "InputFormatError"
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"universe": ["a"], "universe": ["a", "b"], "covering": [["a", "b"]]}',
+             "repeated key 'universe'"),
+            (b'{"universe": ["a"], "covering": [["a"]], "n": ' + b"7" * 5000 + b"}",
+             "integer literal too long"),
+            (b'{"universe": ["a\xff"], "covering": [["a"]]}', "file is not valid UTF-8"),
+        ],
+        ids=["repeated-key", "long-int", "invalid-utf8"],
+    )
+    def test_input_past_the_json_reader_exit_two(self, capsys, tmp_path, data, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        fam = tmp_path / "fam.json"
+        fam.write_bytes(data.replace(b'"covering"', b'"family"'))
+        for argv, where in (
+            (["neighborhoods", str(bad)], bad),
+            (["check", "rough-cov", fx("cov_mixed4.json"), str(fam)], fam),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            (error,) = _json_objects(err)
+            assert error["error"] == {"type": "InputFormatError", "message": f"{where}: {message}"}
+
+    def test_a_repeated_key_is_refused_at_any_depth(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"universe": ["a"], "covering": [["a"]], "x": [{"k": 1, "k": 2}]}')
+        with pytest.raises(InputFormatError, match="repeated key 'k'"):
+            load_structure(bad)
+
     def test_deeply_nested_json_exit_two(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_text('{"universe": ' + "[" * 100_000 + "]" * 100_000 + "}")
