@@ -401,9 +401,11 @@ class TestOtherCommands:
              "repeated key 'universe'"),
             (b'{"universe": ["a"], "covering": [["a"]], "n": ' + b"7" * 5000 + b"}",
              "integer literal too long"),
+            (b'{"universe": ["a"], "covering": [["a"]], "x": [{"k": 1, "k": 2}]}',
+             "repeated key 'k'"),
             (b'{"universe": ["a\xff"], "covering": [["a"]]}', "file is not valid UTF-8"),
         ],
-        ids=["repeated-key", "long-int", "invalid-utf8"],
+        ids=["repeated-key", "long-int", "nested-repeated-key", "invalid-utf8"],
     )
     def test_input_past_the_json_reader_exit_two(self, capsys, tmp_path, data, message):
         bad = tmp_path / "bad.json"
@@ -418,12 +420,6 @@ class TestOtherCommands:
             assert code == 2 and out == ""
             (error,) = _json_objects(err)
             assert error["error"] == {"type": "InputFormatError", "message": f"{where}: {message}"}
-
-    def test_a_repeated_key_is_refused_at_any_depth(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"universe": ["a"], "covering": [["a"]], "x": [{"k": 1, "k": 2}]}')
-        with pytest.raises(InputFormatError, match="repeated key 'k'"):
-            load_structure(bad)
 
     def test_deeply_nested_json_exit_two(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
