@@ -82,7 +82,7 @@ def partner_files(labels: list, tmp: Path) -> dict[str, Path]:
 def commands(kind: str, labels: list) -> list[list[str]]:
     """Argument vectors for a file of this kind: S is the structure file,
     F the family file, and the mutant fills the slot its kind names."""
-    first = labels[0] if labels else "a"
+    first = labels[0]
     whole = "{" + ",".join(labels) + "}"
     check = "lower-rel" if kind == "relation" else "rough-cov"
     family_readers = [
