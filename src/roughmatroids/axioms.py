@@ -1,12 +1,13 @@
 """Axiom-system checkers with replayable witnesses.
 
 Seven checkers share one reporting discipline: every axiom of the system is
-evaluated (no short-circuiting between axioms; only the kernel's
-verdict-only callers stop at the first failure), each failed axiom is listed
-with the canonically smallest witness instantiating its quantifiers, and
-replaying a witness against the matching predicate below reproduces the
-failure.  Scans iterate families in canonical order, so reports are
-deterministic and the first failing instance found is the smallest one.
+evaluated (no short-circuiting between axioms; only the verdict-only runs
+of the kernel and of ``check_ci3_prime`` stop at the first failure), each
+failed axiom is listed with the canonically smallest witness instantiating
+its quantifiers, and replaying a witness against the matching predicate
+below reproduces the failure.  Scans iterate families in canonical order,
+so reports are deterministic and the first failing instance found is the
+smallest one.
 
 The six rough-matroid systems (plain, lower and upper, each over a covering
 or a relation) run through one kernel, ``_check_rough_given``.  All six are
@@ -39,7 +40,10 @@ its int masks, so ``_check_on`` and ``check_ci3_prime`` read a candidate's
 masks into its subfamily index (or a definability failure) with
 ``index_mask``; enumeration and ``cross_check`` hand their subfamily
 indices to the kernel directly and, reading only the verdict, have it
-stop at the first failure.  ``Subset`` objects appear only in witnesses.
+stop at the first failure.  ``cross_check``'s CI3' stage reads only the
+verdict of ``check_ci3_prime(..., stop_at_first=True)`` too, the third
+verdict-only run, which stops at the kernel's CI1 or CI2 failure before
+its own walk.  ``Subset`` objects appear only in witnesses.
 
 The approximation-based systems restrict heredity to candidates that are
 both included in the independent set and dominated by it under the
@@ -196,7 +200,8 @@ def _check_rough_given(
     ``order``: the empty set (member 0, the least under ``SetFamily``),
     heredity over definable subsets and exchange, on the members' images.
     ``stop_at_first`` returns at the first failure, witness included, for the
-    verdict-only callers: enumeration and ``cross_check``'s CI3' stage."""
+    verdict-only callers: enumeration, ``cross_check``'s CI3' stage, and
+    ``check_ci3_prime(..., stop_at_first=True)`` in that stage."""
     t1, t2, t3 = tags
     members, below = order.members, order.below
     failures: list[AxiomFailure] = []

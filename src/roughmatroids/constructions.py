@@ -200,7 +200,9 @@ def direct_sum(
     return summed_cov, summed_fam, check_rough_matroid_covering(summed_cov, summed_fam)
 
 
-def check_ci3_prime(covering: Covering, family: SetFamily) -> CheckReport:
+def check_ci3_prime(
+    covering: Covering, family: SetFamily, *, stop_at_first: bool = False
+) -> CheckReport:
     """Alternative exchange axiom: inside every definable set, the maximal
     family members it contains share one cardinality.
 
@@ -217,15 +219,24 @@ def check_ci3_prime(covering: Covering, family: SetFamily) -> CheckReport:
     is itself picked, which is its own only maximal member, and a d whose
     picked members all have the size of the smallest of them (none of
     them is larger), since members of one size are all maximal.
+
+    ``stop_at_first`` returns at the first failure, witness included: the
+    kernel's CI1 or CI2 failure before the walk, or else the CI3' witness,
+    so the report is the full one cut to its first failure.  It is the
+    third verdict-only run, after enumeration's and the plain kernel's in
+    ``cross_check``'s CI3' agreement stage, which sets it too.
     """
     dfam = definable_family(neighborhoods_of_covering(covering))
     picked = dfam.index_mask(family)
     if picked is None:
         return definability_report("ci3prime", dfam, family)
     order = dfam.order
+    tags = ("CI1", "CI2", "CI3")
     base = _check_rough_given(
-        "ci3prime", order, picked, ("CI1", "CI2", "CI3"), include_exchange=False
+        "ci3prime", order, picked, tags, include_exchange=False, stop_at_first=stop_at_first
     )
+    if stop_at_first and not base.passed:
+        return base
     failures = list(base.failures)
     members = order.members
     below, larger, sizes = order.below, order.larger, order.sizes

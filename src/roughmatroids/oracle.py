@@ -347,11 +347,11 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
     family, the fixpoint characterisations of definability, the lattice
     laws, the one-point-extension criterion (with and without the
     cardinality gap), and agreement of the two exchange axiomatisations on
-    sampled subfamilies, where the plain kernel's verdict alone is read, so
-    it stops at the first failed axiom.  Atomicity of the definable-set
-    lattice is reported informationally and never fails the suite.  Scans
-    above the internal size gates fall back to sampling seeded from the
-    budget.
+    sampled subfamilies, where only the verdicts are read, so both the
+    plain kernel and ``check_ci3_prime(..., stop_at_first=True)`` stop at
+    the first failure.  Atomicity of the definable-set lattice is reported
+    informationally and never fails the suite.  Scans above the internal
+    size gates fall back to sampling seeded from the budget.
 
     On covering input four stages check theorems.  A covering's
     neighborhood map is the successor map of a preorder (x before y when y
@@ -467,7 +467,7 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
         plain = _check_rough_given(
             "rough-cov", dfam.order, mask, ("CI1", "CI2", "CI3"), stop_at_first=True
         )
-        prime = check_ci3_prime(covering, _subfamily(dfam, mask))
+        prime = check_ci3_prime(covering, _subfamily(dfam, mask), stop_at_first=True)
         if plain.passed != prime.passed:
             note = "the two exchange axiomatisations disagreed"
             disagreement = [AxiomFailure("ci3prime-agreement", {"subfamily_index": mask}, note=note)]
