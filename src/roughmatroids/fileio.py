@@ -23,7 +23,8 @@ fails with ``InputFormatError``, naming the file or set literal, on:
   or a family whose universe is not its structure's.
 
 A covering with an empty or repeated block, or one that leaves an
-element uncovered, raises ``InvalidCoveringError`` instead.
+element uncovered, raises ``InvalidCoveringError`` instead, also naming
+the file.
 
 All output is canonically ordered and byte-identical across runs for
 identical input.
@@ -36,7 +37,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .core import BinaryRelation, Covering, Subset, Universe
+from .core import BinaryRelation, Covering, InvalidCoveringError, Subset, Universe
 from .definable import SetFamily
 from .lattice import LatticeDiagram
 from .report import CheckReport
@@ -137,7 +138,10 @@ def load_structure(path: str | Path) -> tuple[Universe, Covering | BinaryRelatio
         if not isinstance(raw, list):
             raise InputFormatError(f"{where}: 'covering' must be a list of subsets")
         blocks = tuple(_read_subset(universe, b, where) for b in raw)
-        return universe, Covering(universe, blocks)
+        try:
+            return universe, Covering(universe, blocks)
+        except InvalidCoveringError as exc:
+            raise InvalidCoveringError(f"{where}: {exc}") from exc
     raw = payload["relation"]
     if not isinstance(raw, list):
         raise InputFormatError(f"{where}: 'relation' must be a list of label pairs")

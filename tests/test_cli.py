@@ -526,6 +526,30 @@ class TestOtherCommands:
         assert "unknown label ['a']" in json.loads(err)["error"]["message"]
 
     @pytest.mark.parametrize(
+        "blocks, argv, message",
+        [
+            pytest.param([["d"], []], ["neighborhoods", "S"], "covering blocks must be nonempty",
+                         id="empty-block"),
+            pytest.param([["d"], ["e"], ["d"]], ["neighborhoods", "S"],
+                         "duplicate block {d} rejected", id="repeated-block"),
+            pytest.param([["d", "e"]], ["neighborhoods", "S"],
+                         "blocks do not cover the universe; missing {f}", id="uncovered-element"),
+            # the first summand is valid, so the path says which one is not
+            pytest.param([["d", "e"]], ["direct-sum", fx("cov_sum_left.json"),
+                                        fx("fam_sum_left.json"), "S", fx("fam_sum_right.json")],
+                         "blocks do not cover the universe; missing {f}",
+                         id="direct-sum-second-summand"),
+        ],
+    )
+    def test_invalid_covering_names_its_file(self, capsys, tmp_path, blocks, argv, message):
+        bad = tmp_path / "cov_bad.json"
+        bad.write_text(json.dumps({"universe": ["d", "e", "f"], "covering": blocks}))
+        code, out, err = run(capsys, *(str(bad) if a == "S" else a for a in argv))
+        assert (code, out) == (2, "")
+        (error,) = _json_objects(err)
+        assert error == {"error": {"type": "InvalidCoveringError", "message": f"{bad}: {message}"}}
+
+    @pytest.mark.parametrize(
         "structure, family, argv, message",
         [
             pytest.param(
