@@ -96,18 +96,15 @@ def check_uniform_proposition(covering: Covering, r: int) -> CheckReport:
     )
 
 
-def extension_sides(
-    covering: Covering, d1: Subset, d2: Subset, element: str
-) -> tuple[bool, bool]:
+def extension_sides(covering: Covering, d1: Subset, d2: Subset, idx: int) -> tuple[bool, bool]:
     """Both sides of the one-point-extension criterion, unvalidated.
 
-    Returns (blocked, predicted): whether d1 plus the element leaves the
-    definable family, and whether some other element of d2 - d1 lies in the
-    element's neighborhood.
+    Returns (blocked, predicted) for the element at universe index ``idx``:
+    whether d1 plus it leaves the definable family, and whether some other
+    element of d2 - d1 lies in its neighborhood.
     """
     nm = neighborhoods_of_covering(covering)
     dfam = definable_family(nm)
-    idx = covering.universe.index(element)
     blocked = d1.bits | (1 << idx) not in dfam.bitset()
     gap = d2.bits & ~d1.bits & ~(1 << idx)
     predicted = gap & nm.cell_bits[idx] != 0
@@ -142,7 +139,7 @@ def one_point_extension_blocked(
     idx = covering.universe.index(element)
     if not (d2.bits >> idx) & 1 or (d1.bits >> idx) & 1:
         raise ValueError(f"element {element!r} must lie in d2 - d1")
-    blocked, predicted = extension_sides(covering, d1, d2, element)
+    blocked, predicted = extension_sides(covering, d1, d2, idx)
     if blocked != predicted:
         raise LawViolationError(
             "one-point-extension criterion disagreed with the membership test "
@@ -158,10 +155,6 @@ def merge_universes(u1: Universe, u2: Universe) -> Universe:
     return Universe(u1.labels + u2.labels)
 
 
-def _lift(subset: Subset, merged: Universe, offset: int) -> Subset:
-    return Subset(merged, subset.bits << offset)
-
-
 def family_disjoint_sum(f1: SetFamily, f2: SetFamily) -> SetFamily:
     """All pairwise unions of members, over the merged universe."""
     merged = merge_universes(f1.universe, f2.universe)
@@ -173,8 +166,8 @@ def covering_disjoint_sum(c1: Covering, c2: Covering) -> Covering:
     """Union of the two block lists over the merged universe."""
     merged = merge_universes(c1.universe, c2.universe)
     offset = c1.universe.size
-    blocks = [_lift(b, merged, 0) for b in c1.blocks]
-    blocks += [_lift(b, merged, offset) for b in c2.blocks]
+    blocks = [Subset(merged, b.bits) for b in c1.blocks]
+    blocks += [Subset(merged, b.bits << offset) for b in c2.blocks]
     return Covering(merged, tuple(blocks))
 
 

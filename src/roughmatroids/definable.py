@@ -316,12 +316,12 @@ def definable_family(nm: NeighborhoodMap) -> SetFamily:
     """
     key = (nm.universe, nm.cell_bits)
     if (family := _FAMILIES.get(key)) is None:
-        family = _FAMILIES[key] = SetFamily.from_bits(nm.universe, _closure_bits(nm.cell_bits))
+        family = _FAMILIES[key] = SetFamily(nm.universe, _closure_bits(nm.cell_bits))
     return family
 
 
-def _closure_bits(cells: tuple[int, ...]) -> list[int]:
-    # Returns a list so the closure set is freed before the family is built.
+def _closure_bits(cells: tuple[int, ...]) -> tuple[int, ...]:
+    # Returns a tuple so the closure set is freed before the family is built.
     closure = {0}
     for cell in cells:
         closure |= {b | cell for b in closure}
@@ -330,7 +330,7 @@ def _closure_bits(cells: tuple[int, ...]) -> list[int]:
                 f"union closure over {len(cells)} elements exceeds the "
                 f"bound of 2^{SCAN_LIMIT} sets"
             )
-    return [b for b in closure if definable_bits(cells, b)]
+    return tuple(b for b in closure if definable_bits(cells, b))
 
 
 def fixpoint_family_lower(nm: NeighborhoodMap) -> SetFamily:
@@ -357,8 +357,7 @@ def _fixpoint_family(
     if n > SCAN_LIMIT:
         raise SizeBoundError(f"fixpoint scan over {n} elements exceeds the bound")
     cells = nm.cell_bits
-    bits = [b for b in range(1 << n) if approx_bits(cells, b) == b]
-    return SetFamily.from_bits(nm.universe, bits)
+    return SetFamily(nm.universe, tuple(b for b in range(1 << n) if approx_bits(cells, b) == b))
 
 
 def check_closure(family: SetFamily) -> CheckReport:

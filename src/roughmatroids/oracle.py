@@ -14,6 +14,7 @@ import os
 import random
 import struct
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, repeat
 from operator import eq
 from string import ascii_lowercase
@@ -82,12 +83,12 @@ def _subfamily(dfam: SetFamily, mask: int) -> SetFamily:
     return dfam.subfamily(mask)
 
 
-def _passing_masks(covering: Covering, start: int, stop: int) -> list[int]:
+def _passing_masks(covering: Covering, indices: range) -> list[int]:
     order = definable_family(neighborhoods_of_covering(covering)).order
     tags = ("CI1", "CI2", "CI3")
     return [
         mask
-        for mask in range(start, stop)
+        for mask in indices
         if _check_rough_given("rough-cov", order, mask, tags, stop_at_first=True).passed
     ]
 
@@ -107,8 +108,8 @@ def enumerate_rough_matroids(
     mask over the family's member order and, since only its verdict is
     read, stops at the first failed axiom; a ``SetFamily`` is built only
     for the indices that pass.  With ``jobs`` greater than one the index
-    range is split into at most ``jobs`` ranges, scanned by at most
-    ``os.cpu_count()`` worker processes and merged back in order.
+    range is split into at most ``jobs`` ranges, which the serial scan runs
+    over in at most ``os.cpu_count()`` worker processes, merged in order.
     """
     budget = budget or EnumerationBudget()
     if jobs < 1:
@@ -124,22 +125,18 @@ def enumerate_rough_matroids(
     if not 0 <= start <= total:
         raise ValueError(f"start must lie in 0..{total} (2^{base}), got {start}")
     if jobs == 1 or total - start < 1024:
-        masks = _passing_masks(covering, start, total)
+        masks = _passing_masks(covering, range(start, total))
     else:
         step = (total - start + jobs - 1) // jobs
-        ranges = [(a, min(a + step, total)) for a in range(start, total, step)]
+        ranges = [range(a, min(a + step, total)) for a in range(start, total, step)]
         workers = min(jobs, len(ranges), os.cpu_count() or 1)
         # imported here, so that a run without workers never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(_passing_masks_star, [(covering, a, b) for a, b in ranges])
+            chunks = pool.map(partial(_passing_masks, covering), ranges)
         masks = [m for chunk in chunks for m in chunk]
     return [_subfamily(dfam, mask) for mask in masks]
-
-
-def _passing_masks_star(args) -> list[int]:
-    return _passing_masks(*args)
 
 
 def _submasks(bits: int) -> list[int]:
@@ -449,12 +446,12 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
 
     size = len(dfam)
     if size <= _PAIR_SCAN_LIMIT:
-        pairs = ((i, j) for i in range(size) for j in range(size) if i != j)
+        indices: Iterable[int] = range(size * size)
         details["extension_scan"] = "exhaustive"
     else:
-        sampled = _sample_distinct(rng, size * size, _SAMPLED_PAIRS)
-        pairs = ((i, j) for i, j in map(divmod, sampled, repeat(size)) if i != j)
+        indices = _sample_distinct(rng, size * size, _SAMPLED_PAIRS)
         details["extension_scan"] = "sampled"
+    pairs = ((i, j) for i, j in map(divmod, indices, repeat(size)) if i != j)
     gap_respected, ext_failure = _extension_scan(dfam, cells, pairs)
     stage("extension_biconditional", [ext_failure] if ext_failure else [])
     details["extension_biconditional_without_size_gap"] = (

@@ -4,7 +4,9 @@ Three coverings recur everywhere: the six-block covering on {a..f} whose
 neighborhoods partition the universe, the three-element chain covering
 {{a,b},{b,c}}, and a mixed four-element covering with one non-singleton
 neighborhood.  The four-point relation pair differs only by one reflexive
-loop on the otherwise isolated element.
+loop on the otherwise isolated element.  ``pair_scan_closure`` is the one
+pair-scan reference for ``check_closure``, shared by the modules that
+compare the closure report with it.
 
 Hypothesis runs derandomized and without an example database, so every
 run of the suite draws the same examples; each test keeps its own
@@ -16,7 +18,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from roughmatroids import BinaryRelation, Covering, SetFamily, Universe
+from roughmatroids import BinaryRelation, Covering, SetFamily, Subset, Universe
+from roughmatroids.report import AxiomFailure, CheckReport
 
 settings.register_profile("derandomized", derandomize=True, database=None)
 settings.load_profile("derandomized")
@@ -132,3 +135,21 @@ def pawlak_upper(classes, x: frozenset) -> frozenset:
         if cls & x:
             out |= cls
     return out
+
+
+def pair_scan_closure(family: SetFamily) -> CheckReport:
+    """The closure check as a scan over member pairs i <= j, unions before
+    intersections, naming the first pair whose result is missing: the
+    reference that ``check_closure``'s report must match."""
+    members = family.members
+    masks = [m.bits for m in members]
+    present = set(masks)
+    failures = []
+    for tag, combine in (("union-closure", int.__or__), ("intersection-closure", int.__and__)):
+        pairs = ((i, j) for i in range(len(masks)) for j in range(i, len(masks)))
+        hit = next(((i, j) for i, j in pairs if combine(masks[i], masks[j]) not in present), None)
+        if hit is not None:
+            i, j = hit
+            missing = Subset(family.universe, combine(masks[i], masks[j]))
+            failures.append(AxiomFailure(tag, {"x": members[i], "y": members[j], "missing": missing}))
+    return CheckReport("closure", failures=tuple(failures))

@@ -26,8 +26,7 @@ from roughmatroids import (
     successor_neighborhoods,
 )
 from roughmatroids.fileio import dumps, report_payload
-from roughmatroids.report import AxiomFailure, CheckReport
-from conftest import HEX_DEFINABLE, MIXED4_DEFINABLE
+from conftest import HEX_DEFINABLE, MIXED4_DEFINABLE, pair_scan_closure
 from test_acceptance import all_neighborhood_signatures
 
 
@@ -375,22 +374,6 @@ class TestFixpointFamilies:
         assert fixpoint_family_upper(nm) == SetFamily.of(
             nm.universe, (m.complement() for m in definable)
         )
-
-
-def pair_scan_closure(family):
-    """The closure check as a scan over pairs of ``Subset`` members."""
-    failures = []
-    for tag, combine in (("union-closure", int.__or__), ("intersection-closure", int.__and__)):
-        members = family.members
-        for i, x in enumerate(members):
-            pending = (y for y in members[i:] if combine(x.bits, y.bits) not in family.bitset())
-            y = next(pending, None)
-            if y is not None:
-                missing = family.universe.from_bits(combine(x.bits, y.bits))
-                witness = {"x": x, "y": y, "missing": missing}
-                failures.append(AxiomFailure(tag, witness))
-                break
-    return CheckReport("closure", failures=tuple(failures))
 
 
 class TestCheckClosure:

@@ -54,7 +54,7 @@ from roughmatroids import (
     successor_neighborhoods,
 )
 from roughmatroids.fileio import dumps, report_payload
-from roughmatroids.report import AxiomFailure, CheckReport
+from conftest import pair_scan_closure
 
 
 def preorders(n):
@@ -162,27 +162,6 @@ def brute_maximal(family, mask):
         for j in reversed(picked)
         if not any(k != j and masks[j] & ~masks[k] == 0 for k in picked)
     ]
-
-
-def pair_scan_closure(family):
-    """Closure as a scan over member pairs i <= j, unions before
-    intersections, naming the first pair whose result is missing."""
-    masks = [m.bits for m in family.members]
-    present = set(masks)
-    failures = []
-    for tag, combine in (("union-closure", int.__or__), ("intersection-closure", int.__and__)):
-        pairs = ((i, j) for i in range(len(masks)) for j in range(i, len(masks)))
-        for i, j in pairs:
-            missing = combine(masks[i], masks[j])
-            if missing not in present:
-                witness = {
-                    "x": family.members[i],
-                    "y": family.members[j],
-                    "missing": family.universe.from_bits(missing),
-                }
-                failures.append(AxiomFailure(tag, witness))
-                break
-    return CheckReport("closure", failures=tuple(failures))
 
 
 def irreducible_count(family):

@@ -14,7 +14,8 @@ Each loop is compared with a copy, kept here, of the loop it replaced:
 - the neighborhood map, rebuilt from the blocks on every call;
 - the extension criterion walked one gap element at a time, with one
   membership test per element;
-- the closure gate that combined every pair of members.
+- the closure gate that combined every pair of members, kept in
+  ``conftest`` as ``pair_scan_closure``.
 
 The replacements must give the same values, the same witnesses and, for
 the draws, leave the generator in the same state.  The duality and
@@ -57,6 +58,7 @@ from roughmatroids.oracle import (
     _subfamily,
 )
 from roughmatroids.report import AxiomFailure, CheckReport
+from conftest import pair_scan_closure
 from test_acceptance import all_neighborhood_signatures
 from test_crosscheck_identity import _cases, _lawsuite_cases
 from test_member_order import hex_covering
@@ -180,23 +182,6 @@ def walk_extension_scan(family, cells, pairs):
                     return gap_respected, AxiomFailure("extension-biconditional", witness)
                 break
     return gap_respected, None
-
-
-def pair_scan_closure(family):
-    """The closure check over every pair i <= j, unions first."""
-    members = family.members
-    masks = [m.bits for m in members]
-    present = family.bitset()
-    failures = []
-    for tag, combine in (("union-closure", int.__or__), ("intersection-closure", int.__and__)):
-        for i, x in enumerate(masks):
-            j = next((j for j in range(i, len(masks)) if combine(x, masks[j]) not in present), None)
-            if j is not None:
-                missing = Subset(family.universe, combine(x, masks[j]))
-                witness = {"x": members[i], "y": members[j], "missing": missing}
-                failures.append(AxiomFailure(tag, witness))
-                break
-    return CheckReport("closure", failures=tuple(failures))
 
 
 def blocks_neighborhoods(covering):
