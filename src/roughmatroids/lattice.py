@@ -148,7 +148,7 @@ def check_atomicity(diagram: LatticeDiagram) -> CheckReport:
     """
     family = diagram.family
     masks = family.masks
-    atom_idx = sorted(j for i, j in diagram.edges if i == 0)
+    atom_idx = [j for i, j in diagram.edges if i == 0]
     atoms = [masks[j] for j in atom_idx]
     failures: list[AxiomFailure] = []
     for k, m in enumerate(masks):

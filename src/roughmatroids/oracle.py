@@ -14,9 +14,9 @@ import os
 import random
 import struct
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import compress, repeat
-from operator import eq
+from operator import eq, or_
 from string import ascii_lowercase
 from typing import Collection, Iterable, Sequence
 
@@ -206,7 +206,8 @@ def random_covering(n: int, density: float, seed: int) -> Covering:
     """A valid random covering; deterministic for a fixed seed.
 
     Blocks draw each element with the given density; empty draws get one
-    random element, and uncovered elements are patched with singletons.
+    random element, a repeated draw is kept once, and uncovered elements
+    are patched with singletons.
     """
     if n < 1:
         raise ValueError("universe size must be at least 1")
@@ -214,28 +215,16 @@ def random_covering(n: int, density: float, seed: int) -> Covering:
         raise ValueError("density must lie in (0, 1]")
     rng = random.Random(seed)
     universe = Universe(_default_labels(n))
-    nblocks = rng.randint(1, max(2, n))
-    seen: set[int] = set()
-    blocks: list[int] = []
-    for _ in range(nblocks):
+    draws: list[int] = []
+    for _ in range(rng.randint(1, max(2, n))):
         bits = 0
         for i in range(n):
             if rng.random() < density:
                 bits |= 1 << i
-        if bits == 0:
-            bits = 1 << rng.randrange(n)
-        if bits not in seen:
-            seen.add(bits)
-            blocks.append(bits)
-    covered = 0
-    for b in blocks:
-        covered |= b
-    for i in range(n):
-        patch = 1 << i
-        if not (covered >> i) & 1 and patch not in seen:
-            seen.add(patch)
-            blocks.append(patch)
-            covered |= patch
+        draws.append(bits or 1 << rng.randrange(n))
+    covered = reduce(or_, draws)
+    # an uncovered element's singleton was never drawn, so each patch is a new block
+    blocks = [*dict.fromkeys(draws), *(1 << i for i in range(n) if not covered >> i & 1)]
     return Covering(universe, tuple(Subset(universe, b) for b in blocks))
 
 

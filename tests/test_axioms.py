@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import or_
 
 import pytest
@@ -33,12 +33,13 @@ from roughmatroids import (
     successor_neighborhoods,
     upper_approx,
 )
+from roughmatroids import axioms
 from roughmatroids.axioms import (
     approx_exchange_within,
     augmentation_within,
     exchange_within,
 )
-from roughmatroids.oracle import _subfamily
+from roughmatroids.oracle import _subfamily, classical_matroids
 
 
 def forest_family(universe):
@@ -58,7 +59,16 @@ class TestCheckMatroid:
     def test_forest_family_passes(self, rel4_universe):
         family = forest_family(rel4_universe)
         assert len(family) == 14
-        assert check_matroid(rel4_universe, family).passed
+        u3 = Universe(("a", "b", "c"))
+        inputs = [(u3, SetFamily.from_bits(u3, m)) for m in classical_matroids(3)]
+        for universe, matroid in [(rel4_universe, family), *inputs]:
+            assert check_matroid(universe, matroid).passed
+            # positive replay: both exchange bodies hold on every pair that
+            # the augmentation axiom quantifies over
+            for i1, i2 in permutations(matroid.members, 2):
+                if len(i1) < len(i2):
+                    assert augmentation_within(matroid, i1, i2)
+                    assert exchange_within(matroid, i1, i2)
 
     def test_small_family_passes(self, mixed4_universe):
         family = SetFamily.from_labels(mixed4_universe, [[], ["a"], ["c"]])
@@ -194,6 +204,24 @@ class TestApproxCheckersCovering:
         family = SetFamily.from_labels(hex_universe, [[]])
         assert check_lower_rough_matroid_covering(hex_covering, family).passed
         assert check_upper_rough_matroid_covering(hex_covering, family).passed
+
+    def test_lower_check_builds_no_second_order(self, monkeypatch, hex_covering, hex_universe):
+        # a covering's lower approximation fixes every definable set, so
+        # the lower check runs on the definable family's own order
+        family = SetFamily.from_labels(
+            hex_universe,
+            [[], ["e"], ["a", "d"], ["b", "c"], ["a", "d", "e"], ["a", "b", "c", "d"]],
+        )
+        expected = check_lower_rough_matroid_covering(hex_covering, family)
+        assert expected.failed_axiom == "LI3"
+
+        def no_order(*args):
+            raise RuntimeError("a second MemberOrder was built")
+
+        monkeypatch.setattr(axioms, "MemberOrder", no_order)
+        assert check_lower_rough_matroid_covering(hex_covering, family) == expected
+        with pytest.raises(RuntimeError, match="second MemberOrder"):
+            check_upper_rough_matroid_covering(hex_covering, family)
 
 
 class TestApproxCheckersRelation:
