@@ -14,8 +14,7 @@ and returns the atom list either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count, product, starmap
-from operator import not_
+from itertools import product
 
 from .core import LawViolationError, Subset
 from .definable import SetFamily, check_closure
@@ -95,16 +94,13 @@ def build_lattice(family: SetFamily) -> LatticeDiagram:
     return LatticeDiagram(family)
 
 
-def _first_law_failure(family, axiom, arity, holds):
-    """The first combination of members, in ``product`` order, on which
-    ``holds`` fails, as an AxiomFailure; None when it holds on all.
+def _first_law_failure(family, axiom, arity, k):
+    """The AxiomFailure at position k, in ``product`` order, of the
+    combinations of ``arity`` members; None when k is None.
 
-    ``holds`` runs on the member masks; the position of the first failure
-    in the verdict stream is decoded back into member indices, most
-    significant first, so no index tuple is built per combination.
+    k is decoded back into member indices, most significant first, so no
+    index tuple is built per combination.
     """
-    verdicts = starmap(holds, product(family.masks, repeat=arity))
-    k = next(compress(count(), map(not_, verdicts)), None)
     if k is None:
         return None
     combo = []
@@ -115,24 +111,53 @@ def _first_law_failure(family, axiom, arity, holds):
     return AxiomFailure(axiom, dict(zip(names, reversed(combo))))
 
 
+# Each scan returns the position, in ``product`` order, of the first
+# combination of member masks on which its law fails, or None.
+def _idempotence(masks):
+    return next((k for k, a in enumerate(masks) if (a | a) != a or (a & a) != a), None)
+
+
+def _commutativity(masks):
+    pairs = enumerate(product(masks, repeat=2))
+    return next((k for k, (a, b) in pairs if (a | b) != (b | a) or (a & b) != (b & a)), None)
+
+
+def _associativity(masks):
+    m = len(masks)
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            join, meet = a | b, a & b
+            for k, c in enumerate(masks):
+                if (join | c) != (a | (b | c)) or (meet & c) != (a & (b & c)):
+                    return (i * m + j) * m + k
+    return None
+
+
+def _absorption(masks):
+    pairs = enumerate(product(masks, repeat=2))
+    return next((k for k, (a, b) in pairs if (a | (a & b)) != a or (a & (a | b)) != a), None)
+
+
+_LAWS = (
+    ("P1-idempotence", 1, _idempotence),
+    ("P2-commutativity", 2, _commutativity),
+    ("P3-associativity", 3, _associativity),
+    ("P4-absorption", 2, _absorption),
+)
+
+
 def check_lattice_laws(diagram: LatticeDiagram) -> CheckReport:
     """Verify idempotence, commutativity, associativity, and absorption of
     join/meet over all pairs and triples of lattice members.
 
-    Each law lists its canonically first counterexample on failure."""
-    laws = (
-        ("P1-idempotence", 1, lambda a: (a | a) == a and (a & a) == a),
-        ("P2-commutativity", 2, lambda a, b: (a | b) == (b | a) and (a & b) == (b & a)),
-        (
-            "P3-associativity",
-            3,
-            lambda a, b, c: ((a | b) | c) == (a | (b | c)) and ((a & b) & c) == (a & (b & c)),
-        ),
-        ("P4-absorption", 2, lambda a, b: (a | (a & b)) == a and (a & (a | b)) == a),
-    )
+    Each law scans the member masks in ``product`` order with no call per
+    combination; associativity, the one scan over triples, computes a | b
+    and a & b once per pair (a, b) before its loop over c.  Each law lists
+    its canonically first counterexample on failure."""
+    family = diagram.family
     failures = []
-    for axiom, arity, holds in laws:
-        failure = _first_law_failure(diagram.family, axiom, arity, holds)
+    for axiom, arity, scan in _LAWS:
+        failure = _first_law_failure(family, axiom, arity, scan(family.masks))
         if failure is not None:
             failures.append(failure)
     return CheckReport("lattice-laws", failures=tuple(failures))

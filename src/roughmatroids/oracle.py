@@ -269,12 +269,35 @@ def _choice_indices(rng: random.Random, n: int, count: int) -> list[int]:
     below 2^32.
     """
     shift = 32 - n.bit_length()
+    limit = n << shift  # w >> shift < n exactly when w < limit
     out: list[int] = []
     while len(out) < count:
         need = count - len(out)
         raw = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        out += [r for w in struct.unpack(f"<{need}I", raw) if (r := w >> shift) < n]
+        out += [w >> shift for w in struct.unpack(f"<{need}I", raw) if w < limit]
     return out
+
+
+def _union_table(seeds: Sequence[int]) -> list[int]:
+    """f(x) for every mask x below 2^len(seeds), indexed by x, for a map f
+    with f(empty) = 0 and f(X | Y) = f(X) | f(Y), given seeds[j] = f({j}):
+    each seed doubles the table, the new half holding x | {j}."""
+    table = [0]
+    for seed in seeds:
+        table += [x | seed for x in table]
+    return table
+
+
+def _approximation_tables(cells: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The lower and the upper approximation of every subset, indexed by
+    its mask, each doubled from n seeds of its own function (see
+    ``cross_check``)."""
+    full = (1 << len(cells)) - 1
+    lows = [full]
+    for j in range(len(cells)):
+        seed = lower_approx_bits(cells, full ^ 1 << j)
+        lows = [x & seed for x in lows] + lows
+    return lows, _union_table([upper_approx_bits(cells, 1 << j) for j in range(len(cells))])
 
 
 def _triple_laws_hold(a: int, b: int, c: int) -> bool:
@@ -288,26 +311,27 @@ def _extension_scan(
     element e of the gap D2 - D1 (D1 member i, D2 member j), D1 plus e
     leaves the family exactly when e's neighborhood meets the gap less e.
 
-    The elements that can be added to each member, and the predicted ones
-    of each distinct gap, are masks computed once, so a pair's mismatches
-    are one XOR; the lowest is the first a walk over the gap meets.
+    The elements that can be added to each member are a mask computed
+    once per member, from the family.  The predicted ones of a gap are
+    ``gap & others[gap]``: ``others[x]`` holds the elements e whose
+    neighborhood meets x less e, doubled from the seeds upper({j}) - {j},
+    so e need not lie in N(e).  A pair's mismatches are then one XOR; the
+    lowest is the first a walk over the gap meets.
     Returns whether all pairs agreed, and the failure at the first pair
     with |D1| < |D2| that did not, where the scan stops.
     """
     masks = family.masks
     present = family.bitset()
     full = (1 << len(cells)) - 1
+    others = _union_table([upper_approx_bits(cells, 1 << j) & ~(1 << j) for j in range(len(cells))])
     agreed = True
     addable: dict[int, int] = {}
-    predicted: dict[int, int] = {}
     for i, j in pairs:
         gap = masks[j] & ~masks[i]
         if i not in addable:
             x = masks[i]
             addable[i] = sum(1 << e for e in bit_indices(full & ~x) if x | 1 << e in present)
-        if gap not in predicted:
-            predicted[gap] = sum(1 << e for e in bit_indices(gap) if gap & ~(1 << e) & cells[e])
-        wrong = (gap & ~addable[i]) ^ predicted[gap]
+        wrong = (gap & ~addable[i]) ^ (gap & others[gap])
         if wrong:
             agreed = False
             if masks[i].bit_count() < masks[j].bit_count():
@@ -357,8 +381,12 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
     union-closure route that builds the definable family against the
     approximation table and the neighborhood cells.
 
-    Both approximations of every subset are computed once, into one table
-    that the duality scan and the two fixpoint sets read.  The extension
+    The duality scan and the two fixpoint sets read one table of each
+    approximation over every subset, doubled from n seeds of its own
+    function: upper from the singletons by upper(X | Y) = upper(X) |
+    upper(Y), lower from the sets less one element by lower(X & Y) =
+    lower(X) & lower(Y).  Neither table is built from the other, so
+    duality still compares two routes on all 2^n subsets.  The extension
     criterion compares, per pair, the gap elements that cannot be added to
     D1 with those the neighborhoods predict, as masks (``_extension_scan``).
     """
@@ -385,10 +413,8 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
         """The failure of ``axiom`` at the least of ``sets``, if any."""
         return [AxiomFailure(axiom, {"X": Subset(covering.universe, min(sets))})] if sets else []
 
-    # One table of both approximations serves duality and the fixpoints.
     subsets = range(1 << n)
-    lows = [lower_approx_bits(cells, x) for x in subsets]
-    ups = [upper_approx_bits(cells, x) for x in subsets]
+    lows, ups = _approximation_tables(cells)
     stage("duality", least("duality", [x for x in subsets if lows[x ^ full] != ups[x] ^ full]))
 
     dfam = definable_family(nm)

@@ -18,10 +18,10 @@ Each loop is compared with a copy, kept here, of the loop it replaced:
   ``conftest`` as ``pair_scan_closure``.
 
 The replacements must give the same values, the same witnesses and, for
-the draws, leave the generator in the same state.  The duality and
-fixpoint scans, which each recomputed the approximations, are checked by
-count instead: one ``cross_check`` computes each approximation once per
-subset.
+the draws, leave the generator in the same state.  The lattice-law scans
+are also run on stand-in masks whose ``|`` or ``&`` is wrong on one pair,
+since Python ints never fail the laws.  The approximation tables, doubled
+from n seeds each, are compared with the per-subset definitions.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import pickle
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -46,22 +47,24 @@ from roughmatroids import (
 )
 from roughmatroids import definable, oracle
 from roughmatroids.axioms import _check_rough_given, definability_report
-from roughmatroids.core import NeighborhoodMap
+from roughmatroids.core import NeighborhoodMap, lower_approx_bits, upper_approx_bits
 from roughmatroids.definable import _closure_bits, check_closure
-from roughmatroids.lattice import _first_law_failure
+from roughmatroids.lattice import _LAWS, _first_law_failure
 from roughmatroids.oracle import (
     _SAMPLED_PAIRS,
     _SAMPLED_TRIPLES,
+    _approximation_tables,
     _choice_indices,
     _extension_scan,
     _sample_distinct,
     _subfamily,
+    _union_table,
 )
 from roughmatroids.report import AxiomFailure, CheckReport
 from conftest import pair_scan_closure
 from test_acceptance import all_neighborhood_signatures
 from test_crosscheck_identity import _cases, _lawsuite_cases
-from test_member_order import hex_covering
+from test_member_order import hex_covering, small_neighborhood_maps
 from test_report_identity import _coverings
 
 DRAW_SIZES = (1, 2, 3, 41, 320, 1 << 20)
@@ -89,6 +92,16 @@ def validated_subfamily(dfam, mask):
     """The selected members, through the validating constructor."""
     masks = tuple(b for i, b in enumerate(dfam.masks) if mask >> i & 1)
     return SetFamily(dfam.universe, masks)
+
+
+# The lattice laws over pairs and triples, one call per combination of
+# member masks.
+LAW_HOLDS = {
+    "P2-commutativity": lambda a, b: (a | b) == (b | a) and (a & b) == (b & a),
+    "P3-associativity": lambda a, b, c: ((a | b) | c) == (a | (b | c))
+    and ((a & b) & c) == (a & (b & c)),
+    "P4-absorption": lambda a, b: (a | (a & b)) == a and (a & (a | b)) == a,
+}
 
 
 def scan_first_law_failure(members, axiom, arity, holds):
@@ -275,6 +288,12 @@ CONTRIVED = (
 )
 
 
+def first_position(masks, arity, holds):
+    """The position, in ``product`` order, of the first failing combination."""
+    combos = product(masks, repeat=arity)
+    return next((k for k, combo in enumerate(combos) if not holds(*combo)), None)
+
+
 def test_law_scan_names_the_same_first_failure():
     universe = Universe(tuple("abcde"))
     rng = random.Random(8)
@@ -283,12 +302,59 @@ def test_law_scan_names_the_same_first_failure():
         bits = {rng.getrandbits(5) for _ in range(rng.randint(1, 12))}
         family = SetFamily.from_bits(universe, bits)
         for axiom, arity, holds in CONTRIVED:
-            new = _first_law_failure(family, axiom, arity, holds)
+            k = first_position(family.masks, arity, holds)
+            new = _first_law_failure(family, axiom, arity, k)
             assert new == scan_first_law_failure(family.members, axiom, arity, holds)
             outcomes.add((axiom, new is None))
+        # ints never fail the lattice laws
+        assert all(scan(family.masks) is None for *_, scan in _LAWS)
     # every contrived law both fails somewhere and holds somewhere
     assert outcomes >= {(axiom, False) for axiom, *_ in CONTRIVED[:3]}
     assert {(axiom, True) for axiom, *_ in CONTRIVED} <= outcomes
+
+
+def miscomputing(op, pair):
+    """A stand-in int type whose ``op`` ("or" or "and") is wrong on the one
+    ordered pair of values ``pair``.  Results keep the type, so a wrong
+    value travels through the nested expressions of a law."""
+
+    class Mask(int):
+        def __or__(self, other):
+            return Mask(self.wrong("or", other, int(self) | int(other)))
+
+        def __and__(self, other):
+            return Mask(self.wrong("and", other, int(self) & int(other)))
+
+        def wrong(self, name, other, value):
+            return value ^ 1 << 9 if (name, int(self), int(other)) == (op, *pair) else value
+
+    return Mask
+
+
+def test_law_scans_name_the_scalar_first_failure_on_a_wrong_operation():
+    # Python ints never fail the laws, so only a stand-in whose | or & is
+    # wrong on one pair can show a hoisted scan naming another combination.
+    universe = Universe(tuple("abcde"))
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(80):
+        bits = {rng.getrandbits(5) for _ in range(rng.randint(2, 9))}
+        family = SetFamily.from_bits(universe, bits)
+        op = rng.choice(("or", "and"))
+        pair = (rng.choice(family.masks), rng.choice(family.masks))
+        masks = tuple(map(miscomputing(op, pair), family.masks))
+        members = [SimpleNamespace(bits=m) for m in masks]
+        for axiom, arity, scan in _LAWS[1:]:
+            new = _first_law_failure(family, axiom, arity, scan(masks))
+            old = scan_first_law_failure(members, axiom, arity, LAW_HOLDS[axiom])
+            assert (new is None) == (old is None)
+            if new is not None:
+                assert {k: v.bits for k, v in new.witness.items()} == {
+                    k: v.bits for k, v in old.witness.items()
+                }
+            outcomes.add((axiom, new is None))
+    # each of P2, P3 and P4 both fails somewhere and holds somewhere
+    assert outcomes == {(axiom, verdict) for axiom, *_ in _LAWS[1:] for verdict in (True, False)}
 
 
 # --- subfamilies ------------------------------------------------------------------
@@ -505,10 +571,28 @@ def test_closure_gate_matches_the_pair_scan_on_small_definable_families():
     assert verdicts == {True, False}
 
 
-# --- one approximation pass ---------------------------------------------------------
+# --- approximation tables ---------------------------------------------------------
 
 
-def test_cross_check_computes_each_approximation_once_per_subset(monkeypatch):
+def test_doubled_tables_equal_the_per_subset_definitions():
+    cases = [nm.cell_bits for nm in small_neighborhood_maps()]
+    cases += [neighborhoods_of_covering(c).cell_bits for _, c in _lawsuite_cases()]
+    for cells in cases:
+        n = len(cells)
+        subsets = range(1 << n)
+        lows, ups = _approximation_tables(cells)
+        assert lows == [lower_approx_bits(cells, x) for x in subsets]
+        assert ups == [upper_approx_bits(cells, x) for x in subsets]
+        # the seeds of the extension scan's table of predictions
+        others = _union_table([upper_approx_bits(cells, 1 << j) & ~(1 << j) for j in range(n)])
+        assert others == [
+            sum(1 << e for e, cell in enumerate(cells) if cell & x & ~(1 << e)) for x in subsets
+        ]
+    # relation maps, where some e lies outside N(e), are among them
+    assert any(not cell >> e & 1 for cells in cases for e, cell in enumerate(cells))
+
+
+def test_cross_check_seeds_its_tables_without_per_subset_scans(monkeypatch):
     calls = {"lower": 0, "upper": 0}
 
     def counted(name, approx):
@@ -529,4 +613,6 @@ def test_cross_check_computes_each_approximation_once_per_subset(monkeypatch):
         calls.update(lower=0, upper=0)
         cross_check(covering, EnumerationBudget(seed=seed))
         n = covering.universe.size
-        assert calls == {"lower": 1 << n, "upper": 1 << n}
+        # n seeds for each table, and n more upper seeds for the extension
+        # scan's predictions
+        assert calls == {"lower": n, "upper": 2 * n}
