@@ -90,6 +90,10 @@ class SetFamily:
     def from_labels(cls, universe: Universe, members: Iterable[Iterable[str]]) -> SetFamily:
         return cls.of(universe, (universe.subset(m) for m in members))
 
+    def __reduce__(self):
+        # only the masks travel; the views and the order are rebuilt on first use
+        return SetFamily, (self.universe, self.masks)
+
     @cached_property
     def members(self) -> tuple[Subset, ...]:
         return tuple(Subset(self.universe, b) for b in self.masks)

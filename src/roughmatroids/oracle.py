@@ -42,8 +42,9 @@ from .definable import (
 from .lattice import NotALatticeError, build_lattice, check_atomicity, check_lattice_laws
 from .report import AxiomFailure, CheckReport
 
-# Scan gates inside cross_check: above these sizes the triple and pair
-# scans fall back to seeded sampling.
+# Scan gates inside cross_check: past the first it raises SizeBoundError,
+# above the others the triple and pair scans fall back to seeded sampling.
+_SUBSET_SCAN_LIMIT = 12
 _TRIPLE_SCAN_LIMIT = 40
 _PAIR_SCAN_LIMIT = 64
 _SAMPLED_TRIPLES = 4000
@@ -56,25 +57,21 @@ MAX_TRIALS = 1 << 16
 class EnumerationBudget:
     """Bounds and reproducibility knobs for the exhaustive operations.
 
-    ``max_scan_size`` (the most elements ``cross_check`` scans every subset
-    of) and ``max_family_base`` (the most definable sets ``enumerate``
-    scans every subfamily of) are both capped at ``core.SCAN_LIMIT``, so
-    no budget admits a scan of more than 2^SCAN_LIMIT indices.
+    ``max_family_base`` (the most definable sets ``enumerate`` scans every
+    subfamily of) is capped at ``core.SCAN_LIMIT``, so no budget admits a
+    scan of more than 2^SCAN_LIMIT indices.  ``cross_check``'s bound of 12
+    elements is a module constant, not a budget field.
     """
 
-    max_scan_size: int = 12
     max_family_base: int = 18
     trials: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_scan_size < 1 or self.max_family_base < 1 or self.trials < 1:
+        if self.max_family_base < 1 or self.trials < 1:
             raise ValueError("budget bounds must be positive")
-        for name in ("max_scan_size", "max_family_base"):
-            if getattr(self, name) > SCAN_LIMIT:
-                raise ValueError(
-                    f"{name} must be at most {SCAN_LIMIT}, got {getattr(self, name)}"
-                )
+        if (base := self.max_family_base) > SCAN_LIMIT:
+            raise ValueError(f"max_family_base must be at most {SCAN_LIMIT}, got {base}")
         if self.trials > MAX_TRIALS:
             raise ValueError(f"trials must be at most {MAX_TRIALS}, got {self.trials}")
 
@@ -243,17 +240,14 @@ def random_relation(n: int, density: float, seed: int) -> BinaryRelation:
 
 
 def _sample_distinct(rng: random.Random, upper: int, count: int) -> list[int]:
-    if upper <= count:
-        return list(range(upper))
+    """The ``count`` distinct indices below ``upper`` that one
+    ``rng.randrange(upper)`` at a time picks, sorted, for count < upper <
+    2^32.  randrange draws as choice does, and a draw adds at most one
+    index, so a batch of as many draws as indices are missing never draws
+    past where one draw at a time would stop."""
     picked: set[int] = set()
     while len(picked) < count:
-        if upper >> 32:
-            picked.add(rng.randrange(upper))
-        else:
-            # randrange draws as choice does, and a draw adds at most one
-            # index, so a batch of as many draws as indices are missing
-            # never draws past where one draw at a time would stop
-            picked.update(_choice_indices(rng, upper, count - len(picked)))
+        picked.update(_choice_indices(rng, upper, count - len(picked)))
     return sorted(picked)
 
 
@@ -265,8 +259,8 @@ def _choice_indices(rng: random.Random, n: int, count: int) -> list[int]:
     ``n.bit_length()`` bits and rejects values of n or more.
     ``getrandbits(32 * m)`` returns the next m words with the first in the
     low bits, so a batch of as many words as indices are still needed
-    never draws a word that ``choice`` would not have drawn.  n must be
-    below 2^32.
+    never draws a word that ``choice`` would not have drawn.  n is below
+    2^32: cross_check's 12-element bound keeps it at most 2^24.
     """
     shift = 32 - n.bit_length()
     limit = n << shift  # w >> shift < n exactly when w < limit
@@ -360,7 +354,8 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
     sampled subfamilies, where only the verdicts are read, so both the
     plain kernel and ``check_ci3_prime(..., stop_at_first=True)`` stop at
     the first failure.  Atomicity of the definable-set lattice is reported
-    informationally and never fails the suite.  Scans above the internal
+    informationally and never fails the suite.  A universe of more than
+    12 elements raises ``SizeBoundError``; scans above the other fixed
     size gates fall back to sampling seeded from the budget.
 
     On covering input four stages check theorems.  A covering's
@@ -392,10 +387,10 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
     """
     budget = budget or EnumerationBudget()
     n = covering.universe.size
-    if n > budget.max_scan_size:
+    if n > _SUBSET_SCAN_LIMIT:
         raise SizeBoundError(
             f"cross-check needs full subset scans; {n} exceeds the budget "
-            f"bound of {budget.max_scan_size}"
+            f"bound of {_SUBSET_SCAN_LIMIT}"
         )
     rng = random.Random(budget.seed)
     nm = neighborhoods_of_covering(covering)

@@ -3,6 +3,8 @@ fixpoints, and closure."""
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,9 @@ from roughmatroids import (
     Subset,
     Universe,
     UniverseMismatchError,
+    build_lattice,
     check_closure,
+    check_lattice_laws,
     definable_family,
     fixpoint_family_lower,
     fixpoint_family_upper,
@@ -315,6 +319,23 @@ class TestSubfamily:
         family = definable_family(neighborhoods_of_covering(chain_covering))
         with pytest.raises(ValueError):
             family.subfamily(mask)
+
+
+def test_a_checked_family_and_its_diagram_survive_pickle(hex_covering):
+    # A check builds family.order, whose rows are computed by local
+    # functions; the round trip ships the masks and rebuilds the rest.
+    dfam = definable_family(neighborhoods_of_covering(hex_covering))
+    diagram = build_lattice(dfam)
+    cases = (
+        (dfam, check_closure),
+        (dfam.subfamily(0b1011_0110_1001_0111), check_closure),
+        (diagram, check_lattice_laws),
+    )
+    for thing, check in cases:
+        report = dumps(report_payload(check(thing)))
+        assert "order" in vars(getattr(thing, "family", thing))
+        copy = pickle.loads(pickle.dumps(thing))
+        assert copy == thing and dumps(report_payload(check(copy))) == report
 
 
 class TestFixpointFamilies:

@@ -268,7 +268,7 @@ def test_cross_check_leaves_the_generator_where_choice_draws_left_it(monkeypatch
     assert sampled >= 5 and paired >= 10
 
 
-@pytest.mark.parametrize("upper", (65 * 65, 320 * 320, 4096 * 4096, (1 << 32) - 1, (1 << 32) + 3))
+@pytest.mark.parametrize("upper", (65 * 65, 320 * 320, 4096 * 4096, (1 << 32) - 1))
 def test_batched_pair_draw_matches_one_draw_at_a_time(upper):
     for seed in range(5):
         batched, single = random.Random(seed), random.Random(seed)

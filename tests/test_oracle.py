@@ -26,6 +26,7 @@ from roughmatroids import (
 )
 from roughmatroids import oracle
 from roughmatroids.oracle import _subfamily, is_matroid_masks
+from test_crosscheck_identity import _lawsuite_cases
 
 
 def ten_set_covering():
@@ -38,17 +39,18 @@ def ten_set_covering():
 class TestEnumerationBudget:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            EnumerationBudget(max_scan_size=0)
+            EnumerationBudget(max_family_base=0)
         with pytest.raises(ValueError):
             EnumerationBudget(trials=0)
 
     def test_scan_bounds_stop_at_the_scan_limit(self):
         limit = oracle.SCAN_LIMIT
-        budget = EnumerationBudget(max_scan_size=limit, max_family_base=limit)
-        assert (budget.max_scan_size, budget.max_family_base) == (20, 20)
-        for name in ("max_scan_size", "max_family_base"):
-            with pytest.raises(ValueError, match=f"{name} must be at most 20, got 21"):
-                EnumerationBudget(**{name: limit + 1})
+        assert EnumerationBudget(max_family_base=limit).max_family_base == 20
+        with pytest.raises(ValueError, match="max_family_base must be at most 20, got 21"):
+            EnumerationBudget(max_family_base=limit + 1)
+        # cross_check's subset-scan bound is fixed, not a budget field
+        with pytest.raises(TypeError):
+            EnumerationBudget(max_scan_size=12)
 
     def test_trials_are_bounded(self, monkeypatch):
         def refuse(*args):
@@ -290,10 +292,31 @@ class TestCrossCheck:
         assert report.details["atomicity"] == "holds"
         assert report.details["upper_fixpoints_equal_definable"] == "holds"
 
-    def test_budget_bound(self):
-        covering = random_covering(13, 0.3, 1)
-        with pytest.raises(SizeBoundError):
-            cross_check(covering, EnumerationBudget(max_scan_size=12))
+    def test_fixed_scan_bound(self, monkeypatch):
+        # Twelve elements give at most 2^12 definable sets, and pairs are
+        # sampled above 64, so every bound the pair sampler gets exceeds the
+        # 2,000 indices it keeps and lies below 2^32, as its one draw path needs.
+        uppers = []
+        sample = oracle._sample_distinct
+
+        def recorded(rng, upper, count):
+            uppers.append(upper)
+            return sample(rng, upper, count)
+
+        monkeypatch.setattr(oracle, "_sample_distinct", recorded)
+        u = Universe(tuple(f"x{i}" for i in range(12)))
+        discrete = Covering.from_labels(u, [[x] for x in u.labels])
+        report = cross_check(discrete)
+        assert report.passed and report.details["definable_family_size"] == 4096
+        assert report.details["extension_scan"] == "sampled"
+        for seed, covering in _lawsuite_cases():
+            cross_check(covering, EnumerationBudget(seed=seed))
+        assert uppers[0] == 1 << 24 and len(uppers) > 1
+        assert all(2000 < upper < 1 << 32 for upper in uppers)
+        message = "cross-check needs full subset scans; 13 exceeds the budget bound of 12"
+        with pytest.raises(SizeBoundError) as exc:
+            cross_check(random_covering(13, 0.3, 1))
+        assert str(exc.value) == message
 
     def test_hundred_random_coverings(self):
         for seed in range(100):
