@@ -47,6 +47,13 @@ verdict of ``check_ci3_prime(..., stop_at_first=True)`` too, the third
 verdict-only run, which stops at the kernel's CI1 or CI2 failure before
 its own walk.  ``Subset`` objects appear only in witnesses.
 
+The kernel's scan records each failed axiom's first witness as member
+indices, and one builder turns them into the report.  Verdict-only runs
+share their reports: the ``MemberOrder`` keeps one per check name, tags
+and first failure in ``verdicts``, so enumeration does not build and drop
+a report for every index it rejects.  Reports are read-only for every
+caller; nothing in the package writes to one after its checker returns.
+
 The approximation-based systems restrict heredity to candidates that are
 both included in the independent set and dominated by it under the
 approximation operator.  The lower and upper operators are monotone for
@@ -183,6 +190,11 @@ def definability_report(check: str, dfam: SetFamily, family: SetFamily) -> Check
     return CheckReport(check, failures=(failure,))
 
 
+# The witness keys of the kernel's empty-set, heredity and exchange axioms,
+# in the order of its ``tags``; a CI1 failure names member 0 once.
+_WITNESS_KEYS = (("missing",), ("I", "I'"), ("I1", "I2"))
+
+
 def _check_rough_given(
     check: str,
     order: MemberOrder,
@@ -196,25 +208,32 @@ def _check_rough_given(
     over the member indices of the definable family whose order is
     ``order``: the empty set (member 0, the least under ``SetFamily``),
     heredity over definable subsets and exchange, on the members' images.
-    ``stop_at_first`` returns at the first failure, witness included, for the
-    verdict-only callers: enumeration, ``cross_check``'s CI3' stage, and
-    ``check_ci3_prime(..., stop_at_first=True)`` in that stage."""
-    t1, t2, t3 = tags
+
+    The scan records each failed axiom's first witness as a position
+    ``(axiom, i, k)``: the axiom's index in ``tags`` and the member
+    indices of its witness (``(0, 0, 0)`` for the empty set), and the
+    report is built from those.  ``stop_at_first`` stops the scan at the
+    first failure, for the verdict-only callers: enumeration,
+    ``cross_check``'s CI3' stage, and ``check_ci3_prime(...,
+    stop_at_first=True)`` in that stage.  Their reports are shared: looked
+    up in ``order.verdicts`` under ``(check, tags, positions)`` (a pass
+    under no positions) and built only on a miss, so at most 2 + 2|D|^2
+    are kept per check and tags, freed with the family.  Callers must
+    treat every report as read-only."""
     members, below = order.members, order.below
-    failures: list[AxiomFailure] = []
+    found: list[tuple[int, int, int]] = []
     if not picked & 1:
-        failures.append(AxiomFailure(t1, {"missing": members[0]}))
-    rest = 0 if stop_at_first and failures else picked
+        found.append((0, 0, 0))
+    rest = 0 if stop_at_first and found else picked
     while rest:
         low = rest & -rest
         rest ^= low
         j = low.bit_length() - 1
         missing = below[j] & ~picked
         if missing:
-            sub = (missing & -missing).bit_length() - 1
-            failures.append(AxiomFailure(t2, {"I": members[j], "I'": members[sub]}))
+            found.append((1, j, (missing & -missing).bit_length() - 1))
             break
-    if include_exchange and not (stop_at_first and failures):
+    if include_exchange and not (stop_at_first and found):
         images, sizes, larger = order.images, order.sizes, order.larger
         over = order.over
         rest = picked
@@ -233,10 +252,23 @@ def _check_rough_given(
                 ups ^= up
                 cand &= ~over[images[up.bit_length() - 1] & ~a1]
             if cand:
-                j2 = (cand & -cand).bit_length() - 1
-                failures.append(AxiomFailure(t3, {"I1": members[j1], "I2": members[j2]}))
+                found.append((2, j1, (cand & -cand).bit_length() - 1))
                 break
-    return CheckReport(check, failures=tuple(failures))
+    if not stop_at_first:
+        return _kernel_report(check, members, tags, found)
+    key = (check, tags, tuple(found))
+    if (report := order.verdicts.get(key)) is None:
+        report = order.verdicts[key] = _kernel_report(check, members, tags, found)
+    return report
+
+
+def _kernel_report(check: str, members: tuple[Subset, ...], tags, found) -> CheckReport:
+    """The kernel's report on the witness positions its scan found."""
+    failures = tuple(
+        AxiomFailure(tags[a], dict(zip(_WITNESS_KEYS[a], (members[i], members[k]))))
+        for a, i, k in found
+    )
+    return CheckReport(check, failures=failures)
 
 
 def _check_on(
@@ -256,8 +288,11 @@ def _check_on(
     if approx_bits is None:
         order = dfam.order
     else:
-        images = [approx_bits(nm.cell_bits, b) for b in dfam.masks]
-        order = MemberOrder(dfam, images)
+        # the images depend on the operator and the cells alone
+        key = (approx_bits, nm.cell_bits)
+        if (order := dfam.image_orders.get(key)) is None:
+            images = [approx_bits(nm.cell_bits, b) for b in dfam.masks]
+            order = dfam.image_orders[key] = MemberOrder(dfam, images)
     tags = (f"{prefix}I1", f"{prefix}I2", f"{prefix}I3")
     return _check_rough_given(check, order, picked, tags)
 

@@ -91,7 +91,7 @@ class SetFamily:
         return cls.of(universe, (universe.subset(m) for m in members))
 
     def __reduce__(self):
-        # only the masks travel; the views and the order are rebuilt on first use
+        # only the masks travel; the views and the orders are rebuilt on first use
         return SetFamily, (self.universe, self.masks)
 
     @cached_property
@@ -123,8 +123,19 @@ class SetFamily:
         return MemberOrder(self)
 
     @cached_property
-    def _positions(self) -> dict[int, int]:
-        return {b: i for i, b in enumerate(self.masks)}
+    def image_orders(self) -> dict[tuple, MemberOrder]:
+        """Orders of the members' images under an operator, built by the
+        caller under its own key and kept as long as the family."""
+        return {}
+
+    @cached_property
+    def _member_bits(self) -> _Rows:
+        """``1 << i`` for ``masks[i]``, looked up by the mask; a mask that
+        is not a member raises KeyError.  Built on first lookup and kept
+        within ``_MEMBER_BITS`` bits, since a table of every member's bit
+        takes |D|^2 / 2 bits."""
+        index = {b: i for i, b in enumerate(self.masks)}
+        return _Rows(lambda b: 1 << index[b], _MEMBER_BITS // max(len(self.masks), 1))
 
     def index_mask(self, family: SetFamily) -> int | None:
         """``family`` as a mask over this family's member indices (bit i
@@ -132,14 +143,10 @@ class SetFamily:
         member here.  A family on another universe raises
         ``UniverseMismatchError``."""
         require_same_universe(self, family)
-        positions = self._positions
-        mask = 0
-        for b in family.masks:
-            i = positions.get(b)
-            if i is None:
-                return None
-            mask |= 1 << i
-        return mask
+        try:
+            return sum(map(self._member_bits.__getitem__, family.masks))
+        except KeyError:
+            return None
 
     def subfamily(self, mask: int) -> SetFamily:
         """The members that ``mask`` selects (bit i for ``members[i]``),
@@ -163,6 +170,9 @@ class SetFamily:
 # Bits of memoised rows one table of a MemberOrder may keep, however large
 # its family.
 _MEMO_BITS = 1 << 22
+# Bits of member bits one family's index_mask may keep: every member's up
+# to |D| = 4,096 (n = 12 on the discrete covering), about 1 MiB of ints.
+_MEMBER_BITS = 1 << 24
 # Masks that _columns writes out as text at once.  The text stays at
 # _BLOCK * width characters however large the family; on 1,024-element
 # masks the strided reads ran three times faster than with 4,096.
@@ -224,7 +234,8 @@ class MemberOrder:
     j's image, and heredity over the images needs no second table.  Each
     of the two keeps at most ``_MEMO_BITS`` bits of rows.  ``covers``, the
     Hasse diagram of the members, is built from ``below`` once, on first
-    use.
+    use.  ``verdicts`` holds the reports that verdict-only runs of the
+    rough-matroid kernel share (see ``axioms._check_rough_given``).
     """
 
     def __init__(self, family: SetFamily, images: list[int] | None = None):
@@ -250,6 +261,7 @@ class MemberOrder:
         universe = (1 << n) - 1
         self.over = _Rows(partial(_all_of, self.has, full), room)
         self.below = _Rows(lambda j: _all_of(lacks, full, universe & ~sets[j]), room)
+        self.verdicts: dict[tuple, CheckReport] = {}
 
     def maximal(self, mask: int) -> list[int]:
         """The maximal members among those ``mask`` selects, highest first.

@@ -389,7 +389,7 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
     n = covering.universe.size
     if n > _SUBSET_SCAN_LIMIT:
         raise SizeBoundError(
-            f"cross-check needs full subset scans; {n} exceeds the budget "
+            f"cross-check needs full subset scans; {n} exceeds the scan "
             f"bound of {_SUBSET_SCAN_LIMIT}"
         )
     rng = random.Random(budget.seed)

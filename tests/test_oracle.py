@@ -313,7 +313,7 @@ class TestCrossCheck:
             cross_check(covering, EnumerationBudget(seed=seed))
         assert uppers[0] == 1 << 24 and len(uppers) > 1
         assert all(2000 < upper < 1 << 32 for upper in uppers)
-        message = "cross-check needs full subset scans; 13 exceeds the budget bound of 12"
+        message = "cross-check needs full subset scans; 13 exceeds the scan bound of 12"
         with pytest.raises(SizeBoundError) as exc:
             cross_check(random_covering(13, 0.3, 1))
         assert str(exc.value) == message
