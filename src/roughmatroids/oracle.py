@@ -80,8 +80,8 @@ def _subfamily(dfam: SetFamily, mask: int) -> SetFamily:
     return dfam.subfamily(mask)
 
 
-def _passing_masks(covering: Covering, indices: range) -> list[int]:
-    order = definable_family(neighborhoods_of_covering(covering)).order
+def _passing_masks(dfam: SetFamily, indices: range) -> list[int]:
+    order = dfam.order
     tags = ("CI1", "CI2", "CI3")
     return [
         mask
@@ -104,9 +104,9 @@ def enumerate_rough_matroids(
     which must lie in ``0..2**|D|``.  The kernel checks each index as a
     mask over the family's member order and, since only its verdict is
     read, stops at the first failed axiom; a ``SetFamily`` is built only
-    for the indices that pass.  With ``jobs`` greater than one the index
-    range is split into at most ``jobs`` ranges, which the serial scan runs
-    over in at most ``os.cpu_count()`` worker processes, merged in order.
+    for the indices that pass.  Workers number ``min(jobs, os.cpu_count())``:
+    with one, or under 1,024 indices, the scan runs here; else the range is
+    split once, one contiguous range per worker process over this family.
     """
     budget = budget or EnumerationBudget()
     if jobs < 1:
@@ -121,17 +121,17 @@ def enumerate_rough_matroids(
     total = 1 << base
     if not 0 <= start <= total:
         raise ValueError(f"start must lie in 0..{total} (2^{base}), got {start}")
-    if jobs == 1 or total - start < 1024:
-        masks = _passing_masks(covering, range(start, total))
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1 or total - start < 1024:
+        masks = _passing_masks(dfam, range(start, total))
     else:
-        step = (total - start + jobs - 1) // jobs
+        step = (total - start + workers - 1) // workers
         ranges = [range(a, min(a + step, total)) for a in range(start, total, step)]
-        workers = min(jobs, len(ranges), os.cpu_count() or 1)
         # imported here, so that a run without workers never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(partial(_passing_masks, covering), ranges)
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+            chunks = pool.map(partial(_passing_masks, dfam), ranges)
         masks = [m for chunk in chunks for m in chunk]
     return [_subfamily(dfam, mask) for mask in masks]
 

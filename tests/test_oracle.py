@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+import pickle
 import random
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -24,9 +26,38 @@ from roughmatroids import (
     random_covering,
     random_relation,
 )
-from roughmatroids import oracle
+from roughmatroids import cli, oracle
 from roughmatroids.oracle import _subfamily, is_matroid_masks
 from test_crosscheck_identity import _lawsuite_cases
+
+
+class RecordingPool:
+    """An in-process stand-in for the process pool: it records the worker
+    count and the index ranges it was given and starts no process.  The
+    scan function goes through a pickle round trip, as it would on its way
+    to a worker."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.ranges = []
+        self.started.append(self)
+
+    @classmethod
+    def install(cls, monkeypatch):
+        monkeypatch.setattr(cls, "started", [], raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", cls)
+        return cls.started
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        fn = pickle.loads(pickle.dumps(fn))
+        self.ranges = list(items)
+        return [fn(item) for item in self.ranges]
 
 
 def ten_set_covering():
@@ -146,7 +177,8 @@ class TestEnumerateRoughMatroids:
         covering = ten_set_covering()
         seq = enumerate_rough_matroids(covering, jobs=1)
         par = enumerate_rough_matroids(covering, jobs=2)
-        assert started == [min(2, os.cpu_count() or 1)]
+        # a one-CPU host has one worker, so it scans without a pool
+        assert started == ([2] if (os.cpu_count() or 1) > 1 else [])
         assert seq == par
 
     def test_start_must_lie_in_the_index_range(self, chain_covering):
@@ -162,34 +194,46 @@ class TestEnumerateRoughMatroids:
                 enumerate_rough_matroids(chain_covering, jobs=jobs)
 
     def test_worker_count_is_capped(self, monkeypatch):
-        # an in-process stand-in for the pool records the worker count it
-        # was asked for; no process is started
-        asked = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
+        asked = RecordingPool.install(monkeypatch)
         covering = ten_set_covering()
         serial = enumerate_rough_matroids(covering)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        for cpus, jobs, workers in ((2, 8, 2), (64, 3, 3), (None, 4, 1), (64, 5000, 64)):
+        for cpus, jobs, pools in ((2, 8, [2]), (64, 3, [3]), (None, 4, []), (64, 5000, [64])):
+            asked.clear()
             monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
             assert enumerate_rough_matroids(covering, jobs=jobs) == serial
-            assert asked[-1] == workers
-        # 5000 jobs over 1024 indices leave 1024 one-index ranges
+            assert [pool.max_workers for pool in asked] == pools
+        # 2000 workers over 1024 indices leave 1024 one-index ranges
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2000)
         enumerate_rough_matroids(covering, jobs=5000)
-        assert asked[-1] == 1024
+        assert asked[-1].max_workers == 1024
+
+    def test_index_range_is_split_once_per_worker(self, monkeypatch):
+        asked = RecordingPool.install(monkeypatch)
+        covering = ten_set_covering()
+        serial = enumerate_rough_matroids(covering)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        assert enumerate_rough_matroids(covering, jobs=10**6) == serial
+        assert [pool.ranges for pool in asked] == [[range(0, 512), range(512, 1024)]]
+        assert asked[0].max_workers == 2
+
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_one_cpu_scans_without_a_pool(self, monkeypatch, cpus):
+        asked = RecordingPool.install(monkeypatch)
+        covering = ten_set_covering()
+        serial = enumerate_rough_matroids(covering)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+        assert enumerate_rough_matroids(covering, jobs=4) == serial
+        assert asked == []
+
+    def test_cli_jobs_beyond_the_cpus_prints_the_serial_output(self, monkeypatch, capsys):
+        hex_path = str(Path(__file__).parent / "fixtures" / "cov_hex.json")
+        assert cli.main(["enumerate", hex_path, "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        asked = RecordingPool.install(monkeypatch)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        assert cli.main(["enumerate", hex_path, "--jobs", "1000000"]) == 0
+        assert capsys.readouterr().out == serial
+        assert [len(pool.ranges) for pool in asked] == [2]
 
     def test_budget_enforced(self, hex_covering):
         with pytest.raises(SizeBoundError):
