@@ -288,11 +288,10 @@ def _check_on(
     if approx_bits is None:
         order = dfam.order
     else:
-        # the images depend on the operator and the cells alone
-        key = (approx_bits, nm.cell_bits)
-        if (order := dfam.image_orders.get(key)) is None:
+        # one family per (universe, cells), so the operator alone keys its images
+        if (order := dfam.image_orders.get(approx_bits)) is None:
             images = [approx_bits(nm.cell_bits, b) for b in dfam.masks]
-            order = dfam.image_orders[key] = MemberOrder(dfam, images)
+            order = dfam.image_orders[approx_bits] = MemberOrder(dfam, images)
     tags = (f"{prefix}I1", f"{prefix}I2", f"{prefix}I3")
     return _check_rough_given(check, order, picked, tags)
 

@@ -56,6 +56,7 @@ def check_uniform_proposition(covering: Covering, r: int) -> CheckReport:
     universe and over the family's support are both reported.
     """
     nm = neighborhoods_of_covering(covering)
+    dfam = definable_family(nm)  # held: uniform_family and the check below reuse it
     family = uniform_family(covering, r)
     singleton_everywhere = nm.first_non_singleton((1 << covering.universe.size) - 1) is None
     singleton_support = nm.first_non_singleton(family.union_all().bits) is None

@@ -123,9 +123,9 @@ class SetFamily:
         return MemberOrder(self)
 
     @cached_property
-    def image_orders(self) -> dict[tuple, MemberOrder]:
-        """Orders of the members' images under an operator, built by the
-        caller under its own key and kept as long as the family."""
+    def image_orders(self) -> dict[Callable[[tuple[int, ...], int], int], MemberOrder]:
+        """Orders of the members' images under an operator, keyed by the operator
+        alone: ``definable_family`` keeps one family per (universe, cells)."""
         return {}
 
     @cached_property

@@ -15,10 +15,10 @@ import random
 import struct
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import compress, repeat
+from itertools import compress
 from operator import eq, or_
 from string import ascii_lowercase
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
 from .core import (
     SCAN_LIMIT,
@@ -146,7 +146,7 @@ def _submasks(bits: int) -> list[int]:
     return subs
 
 
-def is_matroid_masks(family: frozenset[int] | set[int], n: int) -> bool:
+def is_matroid_masks(family: frozenset[int] | set[int]) -> bool:
     """Raw-mask implementation of the three independence axioms; kept
     independent of the checker module on purpose."""
     if 0 not in family:
@@ -180,15 +180,14 @@ def is_matroid_masks(family: frozenset[int] | set[int], n: int) -> bool:
 
 def classical_matroids(n: int) -> set[frozenset[int]]:
     """All classical matroids on n labelled elements, as families of
-    membership masks.  Exhaustive over every subset family, so only
-    sensible for n up to 4."""
+    membership masks.  Exhaustive over every family, whose members are its
+    index's set bits, so only sensible for n up to 4."""
     if n > 4:
         raise SizeBoundError("classical matroid enumeration is bounded at n = 4")
-    subsets = list(range(1 << n))
     out: set[frozenset[int]] = set()
-    for fammask in range(1 << len(subsets)):
-        family = frozenset(s for i, s in enumerate(subsets) if (fammask >> i) & 1)
-        if is_matroid_masks(family, n):
+    for fammask in range(1 << (1 << n)):
+        family = frozenset(bit_indices(fammask))
+        if is_matroid_masks(family):
             out.add(family)
     return out
 
@@ -284,14 +283,14 @@ def _union_table(seeds: Sequence[int]) -> list[int]:
 
 def _approximation_tables(cells: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """The lower and the upper approximation of every subset, indexed by
-    its mask, each doubled from n seeds of its own function (see
-    ``cross_check``)."""
-    full = (1 << len(cells)) - 1
-    lows = [full]
-    for j in range(len(cells)):
-        seed = lower_approx_bits(cells, full ^ 1 << j)
-        lows = [x & seed for x in lows] + lows
-    return lows, _union_table([upper_approx_bits(cells, 1 << j) for j in range(len(cells))])
+    its mask, each doubled by ``_union_table`` from n seeds of its own
+    function (see ``cross_check``); from the seeds full - lower(full - {j})
+    it gives U[Y] = full - lower(full - Y), so lower(X) = full ^ U[full ^ X]."""
+    n = len(cells)
+    full = (1 << n) - 1
+    comps = _union_table([full ^ lower_approx_bits(cells, full ^ 1 << j) for j in range(n)])
+    ups = _union_table([upper_approx_bits(cells, 1 << j) for j in range(n)])
+    return [full ^ u for u in reversed(comps)], ups
 
 
 def _triple_laws_hold(a: int, b: int, c: int) -> bool:
@@ -299,32 +298,32 @@ def _triple_laws_hold(a: int, b: int, c: int) -> bool:
 
 
 def _extension_scan(
-    family: SetFamily, cells: tuple[int, ...], pairs: Iterable[tuple[int, int]]
+    family: SetFamily, cells: tuple[int, ...], indices: Sequence[int]
 ) -> tuple[bool, AxiomFailure | None]:
-    """The one-point-extension criterion on member pairs (i, j): for each
-    element e of the gap D2 - D1 (D1 member i, D2 member j), D1 plus e
-    leaves the family exactly when e's neighborhood meets the gap less e.
+    """The one-point-extension criterion on the member pairs (i, j) =
+    divmod(k, |D|) of the pair indices k, in their order: for each element
+    e of the gap D2 - D1 (D1 member i, D2 member j), D1 plus e leaves the
+    family exactly when e's neighborhood meets the gap less e.
 
-    The elements that can be added to each member are a mask computed
-    once per member, from the family.  The predicted ones of a gap are
+    A pair (i, i) has an empty gap and agrees.  The addable elements are
+    one mask per member.  The predicted ones of a gap are
     ``gap & others[gap]``: ``others[x]`` holds the elements e whose
     neighborhood meets x less e, doubled from the seeds upper({j}) - {j},
-    so e need not lie in N(e).  A pair's mismatches are then one XOR; the
-    lowest is the first a walk over the gap meets.
-    Returns whether all pairs agreed, and the failure at the first pair
-    with |D1| < |D2| that did not, where the scan stops.
+    so e need not lie in N(e).  A pair's mismatches are one XOR; the
+    lowest is the first a walk over the gap meets.  Returns whether all
+    pairs agreed, and the failure at the first pair with |D1| < |D2| that
+    did not, where the scan stops.
     """
     masks = family.masks
+    size = len(masks)
     present = family.bitset()
     full = (1 << len(cells)) - 1
     others = _union_table([upper_approx_bits(cells, 1 << j) & ~(1 << j) for j in range(len(cells))])
+    addable = [sum(1 << e for e in bit_indices(full & ~x) if x | 1 << e in present) for x in masks]
     agreed = True
-    addable: dict[int, int] = {}
-    for i, j in pairs:
+    for k in indices:
+        i, j = divmod(k, size)
         gap = masks[j] & ~masks[i]
-        if i not in addable:
-            x = masks[i]
-            addable[i] = sum(1 << e for e in bit_indices(full & ~x) if x | 1 << e in present)
         wrong = (gap & ~addable[i]) ^ (gap & others[gap])
         if wrong:
             agreed = False
@@ -377,13 +376,14 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
     approximation table and the neighborhood cells.
 
     The duality scan and the two fixpoint sets read one table of each
-    approximation over every subset, doubled from n seeds of its own
-    function: upper from the singletons by upper(X | Y) = upper(X) |
-    upper(Y), lower from the sets less one element by lower(X & Y) =
-    lower(X) & lower(Y).  Neither table is built from the other, so
-    duality still compares two routes on all 2^n subsets.  The extension
-    criterion compares, per pair, the gap elements that cannot be added to
-    D1 with those the neighborhoods predict, as masks (``_extension_scan``).
+    approximation over every subset, both doubled by ``_union_table`` from
+    n seeds of its own function: upper from the singletons by upper(X | Y)
+    = upper(X) | upper(Y), lower from the sets less one element by
+    lower(X & Y) = lower(X) & lower(Y), through complements.  Neither table
+    is built from the other, so duality still compares two routes on all
+    2^n subsets.  The extension stage walks the pair indices (all |D|^2, or
+    the sampled ones) and compares, per pair, the gap elements that cannot
+    be added to D1 with those the neighborhoods predict (``_extension_scan``).
     """
     budget = budget or EnumerationBudget()
     n = covering.universe.size
@@ -456,13 +456,12 @@ def cross_check(covering: Covering, budget: EnumerationBudget | None = None) -> 
 
     size = len(dfam)
     if size <= _PAIR_SCAN_LIMIT:
-        indices: Iterable[int] = range(size * size)
+        indices: Sequence[int] = range(size * size)
         details["extension_scan"] = "exhaustive"
     else:
         indices = _sample_distinct(rng, size * size, _SAMPLED_PAIRS)
         details["extension_scan"] = "sampled"
-    pairs = ((i, j) for i, j in map(divmod, indices, repeat(size)) if i != j)
-    gap_respected, ext_failure = _extension_scan(dfam, cells, pairs)
+    gap_respected, ext_failure = _extension_scan(dfam, cells, indices)
     stage("extension_biconditional", [ext_failure] if ext_failure else [])
     details["extension_biconditional_without_size_gap"] = (
         "holds" if gap_respected else "fails"

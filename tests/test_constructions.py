@@ -3,6 +3,8 @@ equal-cardinality exchange axiom."""
 
 from __future__ import annotations
 
+from weakref import WeakValueDictionary
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from roughmatroids import (
     random_covering,
     uniform_family,
 )
+from roughmatroids import definable
 from roughmatroids.oracle import _subfamily
 
 
@@ -117,6 +120,20 @@ class TestUniformProposition:
         covering = random_covering(n, 0.5, seed)
         for r in range(1, n + 1):
             assert check_uniform_proposition(covering, r).passed
+
+    def test_builds_the_definable_family_once(self, hex_covering, monkeypatch):
+        # an empty memo, so no family another test holds is reused
+        monkeypatch.setattr(definable, "_FAMILIES", WeakValueDictionary())
+        builds = []
+        closure = definable._closure_bits
+
+        def counting(cells):
+            builds.append(cells)
+            return closure(cells)
+
+        monkeypatch.setattr(definable, "_closure_bits", counting)
+        assert check_uniform_proposition(hex_covering, 2).passed
+        assert len(builds) == 1
 
 
 class TestOnePointExtension:

@@ -451,13 +451,16 @@ def test_neighborhood_map_survives_pickling():
 # --- extension criterion ----------------------------------------------------------
 
 
-def every_pair(size):
-    return [(i, j) for i in range(size) for j in range(size) if i != j]
+def off_diagonal_pairs(indices, size):
+    """The pairs the scan once received: each index decoded, (i, i) dropped."""
+    return [(i, j) for i, j in (divmod(k, size) for k in indices) if i != j]
 
 
-def sampled_pairs(size, seed):
-    draw = _sample_distinct(random.Random(seed), size * size, _SAMPLED_PAIRS)
-    return [(i, j) for i, j in (divmod(k, size) for k in draw) if i != j]
+def assert_scan_matches(family, cells, indices):
+    """``_extension_scan`` on the indices against the walk over their pairs."""
+    new = _extension_scan(family, cells, indices)
+    assert new == walk_extension_scan(family, cells, off_diagonal_pairs(indices, len(family)))
+    return new
 
 
 def test_extension_scan_matches_on_every_small_neighborhood_map():
@@ -466,10 +469,8 @@ def test_extension_scan_matches_on_every_small_neighborhood_map():
         for covering in all_neighborhood_signatures(n):
             nm = neighborhoods_of_covering(covering)
             dfam = definable_family(nm)
-            pairs = every_pair(len(dfam))
-            assert _extension_scan(dfam, nm.cell_bits, pairs) == walk_extension_scan(
-                dfam, nm.cell_bits, pairs
-            )
+            # every index, the diagonal included, as cross_check passes them
+            assert_scan_matches(dfam, nm.cell_bits, range(len(dfam) ** 2))
             maps += 1
     assert maps > 300
 
@@ -481,9 +482,12 @@ def test_extension_scan_matches_on_seeded_lawsuite_sized_coverings():
         nm = neighborhoods_of_covering(covering)
         dfam = definable_family(nm)
         size = len(dfam)
-        pairs = every_pair(size) if size <= oracle._PAIR_SCAN_LIMIT else sampled_pairs(size, seed)
-        new = _extension_scan(dfam, nm.cell_bits, pairs)
-        assert new == walk_extension_scan(dfam, nm.cell_bits, pairs)
+        if size <= oracle._PAIR_SCAN_LIMIT:
+            indices = range(size * size)
+        else:
+            # the unfiltered draw, diagonal indices and all
+            indices = _sample_distinct(random.Random(seed), size * size, _SAMPLED_PAIRS)
+        assert_scan_matches(dfam, nm.cell_bits, indices)
         shapes.add(size <= oracle._PAIR_SCAN_LIMIT)
     assert shapes == {True, False}
 
@@ -493,19 +497,26 @@ def test_extension_scan_matches_where_the_criterion_fails():
     # the neighborhoods, so blocked and predicted can disagree.
     rng = random.Random(11)
     outcomes = set()
+    diagonal_only = 0
     for seed in range(300):
         n = 3 + seed % 4
         universe = Universe(tuple("abcdef"[:n]))
         cells = neighborhoods_of_covering(random_covering(n, 0.4, seed)).cell_bits
         bits = {rng.getrandbits(n) for _ in range(rng.randint(2, 3 * n))}
         family = SetFamily.from_bits(universe, bits)
-        pairs = every_pair(len(family))
-        rng.shuffle(pairs)
-        new = _extension_scan(family, cells, pairs)
-        assert new == walk_extension_scan(family, cells, pairs)
+        size = len(family)
+        indices = list(range(size * size))
+        rng.shuffle(indices)
+        new = assert_scan_matches(family, cells, indices)
         outcomes.add((new[0], new[1] is None))
+        if new != (True, None):
+            # a pair (i, i) has an empty gap, so the diagonal alone agrees
+            diagonal = [i * size + i for i in range(size)]
+            assert _extension_scan(family, cells, diagonal) == (True, None)
+            diagonal_only += 1
     # the witness, and a disagreement only on pairs without the size gap
     assert {(False, False), (False, True), (True, True)} <= outcomes
+    assert diagonal_only > 0
 
 
 # --- closure gate -------------------------------------------------------------------

@@ -118,7 +118,7 @@ def assert_same_report(universe: Universe, family: SetFamily) -> CheckReport:
     report = check_matroid(universe, family)
     expected = pair_scan_check_matroid(universe, family)
     assert dumps(report_payload(report)) == dumps(report_payload(expected))
-    assert report.passed is is_matroid_masks(family.bitset(), universe.size)
+    assert report.passed is is_matroid_masks(family.bitset())
     return report
 
 

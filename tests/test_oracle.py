@@ -261,9 +261,9 @@ class TestEnumerateRoughMatroids:
             classical_matroids(5)
 
     def test_is_matroid_masks_examples(self):
-        assert is_matroid_masks({0b00, 0b01, 0b10}, 2)
-        assert not is_matroid_masks({0b01}, 2)  # missing the empty set
-        assert not is_matroid_masks({0b00, 0b11}, 2)  # heredity fails
+        assert is_matroid_masks({0b00, 0b01, 0b10})
+        assert not is_matroid_masks({0b01})  # missing the empty set
+        assert not is_matroid_masks({0b00, 0b11})  # heredity fails
 
 
 class TestRandomGenerators:
