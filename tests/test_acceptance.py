@@ -46,65 +46,17 @@ from roughmatroids import (
     upper_approx,
 )
 from roughmatroids.axioms import approx_exchange_within
-from roughmatroids.core import BinaryRelation
 from roughmatroids.oracle import _subfamily
-
-
-def hex_covering():
-    u = Universe(tuple("abcdef"))
-    return Covering.from_labels(
-        u,
-        [["e", "f"], ["a", "d", "e"], ["a", "d", "f"], ["b", "c", "e"], ["b", "c", "f"], ["a", "b", "c", "d"]],
-    )
-
-
-def chain_covering():
-    u = Universe(("a", "b", "c"))
-    return Covering.from_labels(u, [["a", "b"], ["b", "c"]])
-
-
-def mixed4_covering():
-    u = Universe(("a", "b", "c", "d"))
-    return Covering.from_labels(u, [["a", "b"], ["a", "c"], ["a", "b", "c"], ["c", "d"]])
-
-
-def four_point_relations():
-    u = Universe(("a1", "a2", "a3", "a4"))
-    pairs = [("a1", "a1"), ("a2", "a1"), ("a2", "a2"), ("a3", "a1"), ("a3", "a3")]
-    return (
-        u,
-        BinaryRelation.from_labels(u, pairs),
-        BinaryRelation.from_labels(u, pairs + [("a4", "a4")]),
-    )
-
-
-def all_neighborhood_signatures(n):
-    """One representative covering per distinct neighborhood map, over all
-    coverings of an n-element universe.  Every law in the suite depends on
-    the covering only through its neighborhood map, so this is an
-    exhaustive check at a fraction of the cost."""
-    u = Universe(tuple("abcd"[:n]))
-    nonempty = list(range(1, 1 << n))
-    full = (1 << n) - 1
-    seen = {}
-    for mask in range(1, 1 << len(nonempty)):
-        blocks = [nonempty[i] for i in range(len(nonempty)) if (mask >> i) & 1]
-        union = 0
-        for b in blocks:
-            union |= b
-        if union != full:
-            continue
-        cells = []
-        for i in range(n):
-            bits = full
-            for b in blocks:
-                if (b >> i) & 1:
-                    bits &= b
-            cells.append(bits)
-        signature = tuple(cells)
-        if signature not in seen:
-            seen[signature] = Covering(u, tuple(u.from_bits(b) for b in blocks))
-    return list(seen.values())
+from support import (
+    HEX_DEFINABLE,
+    REL4_FAMILY,
+    chain_covering,
+    hex_covering,
+    mixed4_covering,
+    preorder_coverings,
+    rel4_relations,
+    scan_definable,
+)
 
 
 def relabel(covering, prefix):
@@ -133,18 +85,7 @@ def criterion_1_neighborhoods_and_definable_family():
         "e": ("e",),
         "f": ("f",),
     }
-    family = definable_family(nm)
-    expected = SetFamily.from_labels(
-        u,
-        [
-            [], ["e"], ["f"], ["a", "d"], ["b", "c"], ["e", "f"],
-            ["a", "d", "e"], ["a", "d", "f"], ["b", "c", "e"], ["b", "c", "f"],
-            ["a", "b", "c", "d"], ["a", "d", "e", "f"], ["b", "c", "e", "f"],
-            ["a", "b", "c", "d", "e"], ["a", "b", "c", "d", "f"],
-            ["a", "b", "c", "d", "e", "f"],
-        ],
-    )
-    assert family == expected
+    assert definable_family(nm) == SetFamily.from_labels(u, HEX_DEFINABLE)
     assert time.perf_counter() - start < 1.0
 
 
@@ -234,8 +175,8 @@ def criterion_4_relation_checker_verdicts():
     under the base relation and the lower checker under its reflexive
     extension."""
     start = time.perf_counter()
-    u, base, reflexive = four_point_relations()
-    family = SetFamily.from_labels(u, [[], ["a1"], ["a1", "a2"], ["a1", "a3"]])
+    u, base, reflexive = rel4_relations()
+    family = SetFamily.from_labels(u, REL4_FAMILY)
     assert check_upper_rough_matroid_relation(base, family).passed
     assert check_lower_rough_matroid_relation(reflexive, family).passed
     assert time.perf_counter() - start < 1.0
@@ -273,8 +214,7 @@ def _law_coverings():
     randoms = [
         random_covering(1 + seed % 8, 0.15 + (seed % 7) / 9, seed) for seed in range(200)
     ]
-    exhaustive = [c for n in (1, 2, 3, 4) for c in all_neighborhood_signatures(n)]
-    return randoms, exhaustive
+    return randoms, list(preorder_coverings())
 
 
 def criterion_6_law_suite():
@@ -369,21 +309,6 @@ def criterion_6_upper_fixpoint_finding_is_reported():
     assert report.details["fixpoint_upper_duality"] == "pass"
 
 
-def _scan_definable_bits(nm):
-    """Powerset scan on masks, independent of the package's construction:
-    the subsets whose members' neighborhood images union to themselves."""
-    cells = nm.cell_bits
-    found = set()
-    for x in range(1 << nm.universe.size):
-        union = 0
-        for i, cell in enumerate(cells):
-            if x >> i & 1:
-                union |= cell
-        if union == x:
-            found.add(x)
-    return found
-
-
 def criterion_7_oracle_agreement():
     """The union-closure construction builds the same definable family as
     a powerset scan on every tested covering, and rough-matroid
@@ -392,7 +317,7 @@ def criterion_7_oracle_agreement():
     for seed in range(60):
         n = 1 + seed % 12
         nm = neighborhoods_of_covering(random_covering(n, 0.3 + (seed % 5) / 10, seed))
-        assert definable_family(nm).bitset() == _scan_definable_bits(nm)
+        assert definable_family(nm) == scan_definable(nm)
     for n in (1, 2, 3):
         u = Universe(tuple("abc"[:n]))
         covering = Covering.from_labels(u, [[lab] for lab in u.labels])

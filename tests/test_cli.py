@@ -25,6 +25,7 @@ from roughmatroids.fileio import (
     parse_set_literal,
 )
 from roughmatroids import Universe
+from support import json_objects
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -418,7 +419,7 @@ class TestOtherCommands:
         ):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
-            (error,) = _json_objects(err)
+            (error,) = json_objects(err)
             assert error["error"] == {"type": "InputFormatError", "message": f"{where}: {message}"}
 
     def test_deeply_nested_json_exit_two(self, capsys, tmp_path):
@@ -546,7 +547,7 @@ class TestOtherCommands:
         bad.write_text(json.dumps({"universe": ["d", "e", "f"], "covering": blocks}))
         code, out, err = run(capsys, *(str(bad) if a == "S" else a for a in argv))
         assert (code, out) == (2, "")
-        (error,) = _json_objects(err)
+        (error,) = json_objects(err)
         assert error == {"error": {"type": "InvalidCoveringError", "message": f"{bad}: {message}"}}
 
     @pytest.mark.parametrize(
@@ -616,7 +617,7 @@ class TestOtherCommands:
         code, out, err = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
         assert code == 2
         assert out == ""
-        (error,) = _json_objects(err)
+        (error,) = json_objects(err)
         assert message in error["error"]["message"]
 
     def test_extension_check_reports_the_validated_criterion(self, capsys, monkeypatch):
@@ -765,18 +766,6 @@ class TestInputBounds:
         assert 16 < fileio.MAX_LABELS
 
 
-def _json_objects(text: str) -> list:
-    """The JSON values that make up text, one after another."""
-    decoder = json.JSONDecoder()
-    values, end = [], 0
-    while end < len(text):
-        value, end = decoder.raw_decode(text, end)
-        values.append(value)
-        while end < len(text) and text[end].isspace():
-            end += 1
-    return values
-
-
 LABEL = st.sampled_from(["a", "b", "c", "d", "x y", "", "\u00e9", "{", ","])
 LABELS = st.lists(LABEL, max_size=5)
 JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), LABEL)
@@ -856,7 +845,7 @@ def test_fuzzed_inputs_exit_cleanly_with_json_stderr(command, structure, family,
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 1, 2)
-    for value in _json_objects(err.getvalue()):
+    for value in json_objects(err.getvalue()):
         assert set(value) <= {"error", "warning"} and len(value) == 1
     if code == 2:
-        assert _json_objects(err.getvalue())
+        assert json_objects(err.getvalue())

@@ -27,6 +27,7 @@ import pytest
 
 from roughmatroids.cli import main
 from roughmatroids.oracle import MAX_TRIALS
+from support import json_objects
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # a string no fixture holds, replaced in the dumped text
@@ -127,12 +128,7 @@ def run(argv: list[str]) -> tuple[int, str, list]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    decoder, text, values, end = json.JSONDecoder(), err.getvalue(), [], 0
-    while end < len(text):
-        value, end = decoder.raw_decode(text, end)
-        values.append(value)
-        end = len(text) - len(text[end:].lstrip())
-    return code, out.getvalue(), values
+    return code, out.getvalue(), json_objects(err.getvalue())
 
 
 def kind_of(payload: dict) -> str:

@@ -25,7 +25,22 @@ from roughmatroids import (
     successor_neighborhoods,
     upper_approx,
 )
-from conftest import pawlak_lower, pawlak_upper
+
+
+def pawlak_lower(classes, x: frozenset) -> frozenset:
+    out: frozenset = frozenset()
+    for cls in classes:
+        if cls <= x:
+            out |= cls
+    return out
+
+
+def pawlak_upper(classes, x: frozenset) -> frozenset:
+    out: frozenset = frozenset()
+    for cls in classes:
+        if cls & x:
+            out |= cls
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,13 @@ from roughmatroids import (
     successor_neighborhoods,
 )
 from roughmatroids.fileio import dumps, report_payload
-from conftest import HEX_DEFINABLE, MIXED4_DEFINABLE, pair_scan_closure
-from test_acceptance import all_neighborhood_signatures
+from support import (
+    HEX_DEFINABLE,
+    MIXED4_DEFINABLE,
+    pair_scan_closure,
+    preorder_coverings,
+    scan_definable,
+)
 
 
 def brute_definable(nm):
@@ -48,21 +53,6 @@ def brute_definable(nm):
             if union == set(combo):
                 out.append(frozenset(combo))
     return set(out)
-
-
-def scan_definable(nm):
-    """Reference route on masks: every subset of the powerset whose
-    members' neighborhood images union to the subset itself."""
-    cells = nm.cell_bits
-    bits = []
-    for x in range(1 << nm.universe.size):
-        union = 0
-        for i, cell in enumerate(cells):
-            if x >> i & 1:
-                union |= cell
-        if union == x:
-            bits.append(x)
-    return SetFamily.from_bits(nm.universe, bits)
 
 
 class TestIsDefinable:
@@ -207,21 +197,10 @@ class TestDefinableFamily:
         assert definable_family(nm) == scan_definable(nm)
 
     def test_scan_equals_closure_exhaustive_small(self):
-        # every covering on up to three elements
-        for n in (1, 2, 3):
-            u = Universe(tuple("abc"[:n]))
-            nonempty = list(range(1, 1 << n))
-            full = (1 << n) - 1
-            for mask in range(1, 1 << len(nonempty)):
-                blocks = [nonempty[i] for i in range(len(nonempty)) if (mask >> i) & 1]
-                union = 0
-                for b in blocks:
-                    union |= b
-                if union != full:
-                    continue
-                covering = Covering(u, tuple(u.from_bits(b) for b in blocks))
-                nm = neighborhoods_of_covering(covering)
-                assert definable_family(nm) == scan_definable(nm)
+        # one covering per neighborhood map on up to four elements
+        for covering in preorder_coverings():
+            nm = neighborhoods_of_covering(covering)
+            assert definable_family(nm) == scan_definable(nm)
 
     @given(st.integers(1, 6), st.integers(0, 10_000))
     @settings(max_examples=40)
@@ -289,13 +268,9 @@ class TestSetFamily:
             assert list(family) == list(family.members)
 
     def test_of_rebuilds_every_definable_family_up_to_four_elements(self):
-        families = 0
-        for n in (1, 2, 3, 4):
-            for covering in all_neighborhood_signatures(n):
-                family = definable_family(covering.neighborhoods)
-                assert SetFamily.of(family.universe, family.members) == family
-                families += 1
-        assert families == 1 + 4 + 29 + 355
+        for covering in preorder_coverings():
+            family = definable_family(covering.neighborhoods)
+            assert SetFamily.of(family.universe, family.members) == family
 
 
 class TestSubfamily:

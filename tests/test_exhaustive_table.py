@@ -3,10 +3,11 @@
 Covering neighborhood maps are exactly the successor maps of preorders:
 the covering {R(x)} of a preorder R has R as its neighborhood map, and
 every covering's map is a preorder.  So every neighborhood map with one
-to four elements is reached once by enumerating the 1 + 4 + 29 + 355 =
-389 preorders (OEIS A000798), and the definable sets of each are the
-down-sets of its preorder.  Relations get no such shortcut: all 530
-relations on one to three elements are enumerated directly.
+to four elements is reached once by the coverings of the 1 + 4 + 29 +
+355 = 389 preorders (OEIS A000798, ``support.preorder_coverings``), and
+the definable sets of each are the down-sets of its preorder.  Relations
+get no such shortcut: all 530 relations on one to three elements are
+enumerated directly (``support.small_relations``).
 
 The counts below are a regression gate, fixed from an independent
 enumeration; a change that moves one is a change in what the library
@@ -25,23 +26,19 @@ For relations the lattice claim is specific to coverings: union closure
 never fails, intersection closure fails on 3 of the 530.
 
 The module also checks ``MemberOrder.covers`` against a brute-force cover
-relation, ``MemberOrder.maximal`` against a brute-force maximal-member
-search on seeded selections, and ``check_closure`` against a pair scan,
-verdict and witness, on every one of these definable families, and that
-``check_closure`` combines the members with the irreducible members alone.
+relation and ``MemberOrder.maximal`` against a brute-force maximal-member
+search on seeded selections, on every one of these definable families,
+and that ``check_closure`` combines the members with the irreducible
+members alone.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import cache
 
 from roughmatroids import (
-    BinaryRelation,
-    Covering,
     SetFamily,
-    Universe,
     build_lattice,
     check_ci3_prime,
     check_closure,
@@ -53,54 +50,7 @@ from roughmatroids import (
     neighborhoods_of_covering,
     successor_neighborhoods,
 )
-from roughmatroids.fileio import dumps, report_payload
-from conftest import pair_scan_closure
-
-
-def preorders(n):
-    """Every reflexive, transitive relation on n elements, as successor
-    masks: bit y of ``succ[x]`` when x relates to y."""
-    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
-    for bits in range(1 << len(pairs)):
-        succ = [1 << x for x in range(n)]
-        for k, (x, y) in enumerate(pairs):
-            if bits >> k & 1:
-                succ[x] |= 1 << y
-        closed = True
-        for x in range(n):
-            reach = 0
-            for y in range(n):
-                if succ[x] >> y & 1:
-                    reach |= succ[y]
-            closed = closed and reach == succ[x]
-        if closed:
-            yield succ
-
-
-@cache
-def preorder_coverings():
-    """The covering {R(x)} of every preorder R on one to four elements."""
-    coverings = []
-    for n in range(1, 5):
-        u = Universe(tuple("abcd"[:n]))
-        for succ in preorders(n):
-            covering = Covering(u, tuple(u.from_bits(b) for b in sorted(set(succ))))
-            assert list(neighborhoods_of_covering(covering).cell_bits) == succ
-            coverings.append(covering)
-    return tuple(coverings)
-
-
-@cache
-def small_relations():
-    """Every relation on one to three elements."""
-    relations = []
-    for n in range(1, 4):
-        u = Universe(tuple("abc"[:n]))
-        pairs = [(x, y) for x in range(n) for y in range(n)]
-        for bits in range(1 << len(pairs)):
-            chosen = frozenset(p for k, p in enumerate(pairs) if bits >> k & 1)
-            relations.append(BinaryRelation(u, chosen))
-    return tuple(relations)
+from support import brute_covers, ideals, preorder_coverings, small_relations
 
 
 def table_families():
@@ -110,46 +60,6 @@ def table_families():
         yield definable_family(neighborhoods_of_covering(covering))
     for relation in small_relations():
         yield definable_family(successor_neighborhoods(relation))
-
-
-def ideals(family):
-    """Every down-closed set of member indices other than the empty one, as
-    masks; each holds member 0, the empty set.  The members are decided
-    from the highest index down: including one forces everything inside
-    it, and a member not yet forced is not inside any chosen member, so
-    excluding it is always consistent and each ideal is met once."""
-    members = [m.bits for m in family.members]
-    inside = [
-        sum(1 << i for i, a in enumerate(members) if a & ~b == 0) for b in members
-    ]
-    found = []
-    stack = [(len(members) - 1, 0)]
-    while stack:
-        j, picked = stack.pop()
-        if j < 0:
-            if picked:
-                found.append(picked)
-            continue
-        stack.append((j - 1, picked))
-        if not picked >> j & 1:
-            stack.append((j - 1, picked | inside[j]))
-    return found
-
-
-def brute_covers(family):
-    masks = [m.bits for m in family.members]
-
-    def strictly_inside(a, b):
-        return a != b and a & ~b == 0
-
-    return tuple(
-        (i, j)
-        for i, a in enumerate(masks)
-        for j, b in enumerate(masks)
-        if strictly_inside(a, b) and not any(
-            strictly_inside(a, c) and strictly_inside(c, b) for c in masks
-        )
-    )
 
 
 def brute_maximal(family, mask):
@@ -247,12 +157,6 @@ def test_covers_match_the_brute_force_cover_relation():
         full = (1 << len(family)) - 1
         for mask in {0, full, *(rng.randrange(full + 1) for _ in range(6))}:
             assert family.order.maximal(mask) == brute_maximal(family, mask)
-
-
-def test_closure_reports_match_the_pair_scan():
-    for family in table_families():
-        report, expected = check_closure(family), pair_scan_closure(family)
-        assert dumps(report_payload(report)) == dumps(report_payload(expected))
 
 
 class _CountedSet(frozenset):

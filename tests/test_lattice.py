@@ -20,18 +20,7 @@ from roughmatroids import (
     neighborhoods_of_covering,
     random_covering,
 )
-from test_acceptance import all_neighborhood_signatures
-
-
-def brute_cover_pairs(family):
-    """Independent cover-pair computation over label sets."""
-    members = [set(m.members()) for m in family.members]
-    pairs = []
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            if a < b and not any(a < c < b for c in members):
-                pairs.append((i, j))
-    return sorted(pairs)
+from support import brute_covers
 
 
 class TestBuildLattice:
@@ -53,7 +42,7 @@ class TestBuildLattice:
         family = definable_family(neighborhoods_of_covering(hex_covering))
         diagram = build_lattice(family)
         assert len(diagram.nodes) == 16
-        assert list(diagram.edges) == brute_cover_pairs(family)
+        assert diagram.edges == brute_covers(family)
 
     def test_single_node(self):
         u = Universe(("a",))
@@ -92,27 +81,14 @@ class TestBuildLattice:
             neighborhoods_of_covering(random_covering(n, 0.5, seed))
         )
         diagram = build_lattice(family)
-        assert list(diagram.edges) == brute_cover_pairs(family)
-
-    def test_edges_match_brute_route_on_every_small_neighborhood_map(self):
-        # one covering per distinct neighborhood map on up to four elements
-        seen = set()
-        for n in range(1, 5):
-            for covering in all_neighborhood_signatures(n):
-                family = definable_family(neighborhoods_of_covering(covering))
-                if family.bitset() in seen:
-                    continue
-                seen.add(family.bitset())
-                diagram = build_lattice(family)
-                assert list(diagram.edges) == brute_cover_pairs(family)
-        assert len(seen) > 300
+        assert diagram.edges == brute_covers(family)
 
     @pytest.mark.parametrize("n,seed,size", [(8, 3, 48), (10, 8, 44), (11, 11, 137), (9, 7, 180)])
     def test_edges_match_brute_route_on_sparse_random_coverings(self, n, seed, size):
         family = definable_family(neighborhoods_of_covering(random_covering(n, 0.3, seed)))
         assert len(family) == size
         diagram = build_lattice(family)
-        assert list(diagram.edges) == brute_cover_pairs(family)
+        assert diagram.edges == brute_covers(family)
         assert diagram.bottom == family.members[0] and diagram.top == family.members[-1]
 
     @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from roughmatroids import axioms, constructions, definable, oracle
 from roughmatroids.axioms import _check_rough_given
 from roughmatroids.fileio import report_payload
 from roughmatroids.report import AxiomFailure, CheckReport
+from support import MIXED4_BLOCKS
 
 FAILED = CheckReport("stub", failures=(AxiomFailure("stub", {}),))
 PASSED = CheckReport("stub")
@@ -84,7 +85,7 @@ def test_ci3prime_disagreement_is_reported(monkeypatch, hex_covering):
         ([["a"], ["b"], ["c"], ["d"]], [[], ["a"], ["c"]], True, None),
         # N(b) = {a, b} on the support {a, b}: both sides false
         (
-            [["a", "b"], ["a", "c"], ["a", "b", "c"], ["c", "d"]],
+            MIXED4_BLOCKS,
             [[], ["a"], ["a", "b"]],
             False,
             "b",

@@ -15,7 +15,7 @@ Each loop is compared with a copy, kept here, of the loop it replaced:
 - the extension criterion walked one gap element at a time, with one
   membership test per element;
 - the closure gate that combined every pair of members, kept in
-  ``conftest`` as ``pair_scan_closure``.
+  ``support`` as ``pair_scan_closure``.
 
 The replacements must give the same values, the same witnesses and, for
 the draws, leave the generator in the same state.  The lattice-law scans
@@ -61,10 +61,8 @@ from roughmatroids.oracle import (
     _union_table,
 )
 from roughmatroids.report import AxiomFailure, CheckReport
-from conftest import pair_scan_closure
-from test_acceptance import all_neighborhood_signatures
+from support import hex_covering, pair_scan_closure, preorder_coverings, small_neighborhood_maps
 from test_crosscheck_identity import _cases, _lawsuite_cases
-from test_member_order import hex_covering, small_neighborhood_maps
 from test_report_identity import _coverings
 
 DRAW_SIZES = (1, 2, 3, 41, 320, 1 << 20)
@@ -464,15 +462,11 @@ def assert_scan_matches(family, cells, indices):
 
 
 def test_extension_scan_matches_on_every_small_neighborhood_map():
-    maps = 0
-    for n in (1, 2, 3, 4):
-        for covering in all_neighborhood_signatures(n):
-            nm = neighborhoods_of_covering(covering)
-            dfam = definable_family(nm)
-            # every index, the diagonal included, as cross_check passes them
-            assert_scan_matches(dfam, nm.cell_bits, range(len(dfam) ** 2))
-            maps += 1
-    assert maps > 300
+    for covering in preorder_coverings():
+        nm = neighborhoods_of_covering(covering)
+        dfam = definable_family(nm)
+        # every index, the diagonal included, as cross_check passes them
+        assert_scan_matches(dfam, nm.cell_bits, range(len(dfam) ** 2))
 
 
 def test_extension_scan_matches_on_seeded_lawsuite_sized_coverings():
@@ -563,17 +557,19 @@ def test_closure_gate_matches_the_pair_scan_on_seeded_families():
 
 
 def test_closure_gate_matches_the_pair_scan_on_small_definable_families():
+    # keyed by universe and masks, since the meet spans of check_closure
+    # start from the universe
     families = {}
+    for covering in preorder_coverings():
+        family = definable_family(neighborhoods_of_covering(covering))
+        families[family.universe, family.bitset()] = family
     for n in (1, 2, 3, 4):
         universe = Universe(tuple("abcd"[:n]))
-        for covering in all_neighborhood_signatures(n):
-            family = definable_family(neighborhoods_of_covering(covering))
-            families[family.bitset()] = family
         # every relation: its successor map is any n-tuple of subsets
         for cells in product(range(1 << n), repeat=n):
-            key = frozenset(_closure_bits(cells))
-            if key not in families:
-                families[key] = SetFamily.from_bits(universe, key)
+            masks = frozenset(_closure_bits(cells))
+            if (universe, masks) not in families:
+                families[universe, masks] = SetFamily.from_bits(universe, masks)
     verdicts = set()
     for family in families.values():
         new = check_closure(family)

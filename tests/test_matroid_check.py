@@ -19,7 +19,6 @@ from itertools import product
 
 from roughmatroids import (
     BinaryRelation,
-    Covering,
     SetFamily,
     Subset,
     Universe,
@@ -30,6 +29,7 @@ from roughmatroids.core import canonical_mask_key
 from roughmatroids.fileio import dumps, report_payload
 from roughmatroids.oracle import is_matroid_masks
 from roughmatroids.report import AxiomFailure, CheckReport
+from support import preorder_coverings
 
 LABELS = "abcdef"
 SEEDED = 6000
@@ -137,15 +137,8 @@ def _definable_families() -> dict[frozenset[int], SetFamily]:
     out = {}
     for n in (1, 2, 3, 4):
         universe = Universe(tuple(LABELS[:n]))
-        full = (1 << n) - 1
-        structures = []
-        for selection in range(1, 1 << full):
-            blocks = [m for m in range(1, full + 1) if selection >> (m - 1) & 1]
-            union = 0
-            for b in blocks:
-                union |= b
-            if union == full:
-                structures.append(Covering(universe, tuple(Subset(universe, b) for b in blocks)))
+        # one covering per neighborhood map: the family depends on no more
+        structures = [c for c in preorder_coverings() if c.universe.size == n]
         pairs = list(product(range(n), repeat=2))
         for selection in range(1 << len(pairs)):
             chosen = [p for i, p in enumerate(pairs) if selection >> i & 1]

@@ -22,7 +22,6 @@ from functools import partial
 import pytest
 
 from roughmatroids import (
-    BinaryRelation,
     Covering,
     SetFamily,
     Subset,
@@ -38,7 +37,6 @@ from roughmatroids import (
     definable_family,
     enumerate_rough_matroids,
     neighborhoods_of_covering,
-    random_covering,
     random_relation,
     successor_neighborhoods,
 )
@@ -49,8 +47,7 @@ from roughmatroids.fileio import dumps, report_payload
 from roughmatroids.oracle import _subfamily
 from roughmatroids.report import AxiomFailure, CheckReport
 
-from conftest import HEX_BLOCKS
-from test_acceptance import all_neighborhood_signatures
+from support import chain_covering, hex_covering, seeded_coverings, small_neighborhood_maps
 
 TAGS = ("CI1", "CI2", "CI3")
 
@@ -127,20 +124,8 @@ def same(a, b):
     return dumps(report_payload(a)) == dumps(report_payload(b))
 
 
-def hex_covering():
-    return Covering.from_labels(Universe(tuple("abcdef")), HEX_BLOCKS)
-
-
-def seeded_coverings(count=6, lo=9, hi=12):
-    """Seeded n = 5-6 coverings whose definable family has lo..hi members."""
-    out = []
-    for seed in range(400):
-        covering = random_covering(5 + seed % 2, 0.35, seed)
-        if lo <= len(definable_family(neighborhoods_of_covering(covering))) <= hi:
-            out.append(covering)
-            if len(out) == count:
-                return out
-    raise AssertionError("too few seeded coverings in the size range")
+def small_seeded_coverings(count):
+    return seeded_coverings(count, sizes=range(9, 13), seeds=400, widths=(5, 6))
 
 
 def non_definable_families(universe, rng, count):
@@ -164,7 +149,7 @@ class TestPlainKernel:
             assert new == old, mask
 
     def test_every_subfamily_of_seeded_coverings(self):
-        for covering in seeded_coverings():
+        for covering in small_seeded_coverings(6):
             dfam = definable_family(neighborhoods_of_covering(covering))
             for mask in range(1 << len(dfam)):
                 family = _subfamily(dfam, mask)
@@ -172,7 +157,7 @@ class TestPlainKernel:
                 assert new == scan_check("rough-cov", dfam, family, TAGS), mask
 
     def test_ci3_prime_on_every_subfamily(self):
-        for covering in [hex_covering(), *seeded_coverings(count=3)]:
+        for covering in [hex_covering(), *small_seeded_coverings(3)]:
             dfam = definable_family(neighborhoods_of_covering(covering))
             for mask in range(1 << min(len(dfam), 12)):
                 family = _subfamily(dfam, mask)
@@ -198,7 +183,7 @@ APPROX_CHECKERS = {
 
 def seeded_structures(check):
     if check.endswith("-cov"):
-        return [hex_covering(), *seeded_coverings(count=4)]
+        return [hex_covering(), *small_seeded_coverings(4)]
     return [random_relation(n, 0.35, seed) for n in (4, 5, 6) for seed in range(4)]
 
 
@@ -295,9 +280,7 @@ class TestCanonicalOrder:
 class TestOrder:
     def test_rows(self):
         # chain covering {a,b},{b,c}: D = {}, {b}, {a,b}, {b,c}, {a,b,c}
-        u = Universe(tuple("abc"))
-        covering = Covering.from_labels(u, [["a", "b"], ["b", "c"]])
-        order = definable_family(neighborhoods_of_covering(covering)).order
+        order = definable_family(neighborhoods_of_covering(chain_covering())).order
         assert [m.bits for m in order.members] == [0, 0b010, 0b011, 0b110, 0b111]
         assert order.has == [0b10100, 0b11110, 0b11000]
         assert order.larger == [0b11110, 0b11100, 0b10000, 0]
@@ -373,23 +356,6 @@ class TestOrder:
         assert peak < 32 << 20
 
 
-def small_neighborhood_maps():
-    """Every neighborhood map with at most three elements, of coverings and
-    of relations, then seeded ones with four to six."""
-    for n in (1, 2, 3):
-        for covering in all_neighborhood_signatures(n):
-            yield neighborhoods_of_covering(covering)
-        u = Universe(tuple("abc"[:n]))
-        cells = [(i, j) for i in range(n) for j in range(n)]
-        for mask in range(1 << len(cells)):
-            pairs = frozenset(p for k, p in enumerate(cells) if mask >> k & 1)
-            yield successor_neighborhoods(BinaryRelation(u, pairs))
-    for n in (4, 5, 6):
-        for seed in range(8):
-            yield neighborhoods_of_covering(random_covering(n, 0.4, seed))
-            yield successor_neighborhoods(random_relation(n, 0.35, seed))
-
-
 class TestMonotonicity:
     """``MemberOrder.below`` reads the member masks alone, which is sound
     because both operators are monotone on every neighborhood map."""
@@ -421,8 +387,8 @@ class TestMonotonicity:
         assert min(unfixed.values()) > 200
 
     def test_the_upper_operator_does_not_fix_definable_sets(self):
-        u = Universe(tuple("abc"))
-        nm = neighborhoods_of_covering(Covering.from_labels(u, [["a", "b"], ["b", "c"]]))
+        nm = neighborhoods_of_covering(chain_covering())
+        u = nm.universe
         b = u.subset(["b"])
         assert b in definable_family(nm)
         assert upper_approx_bits(nm.cell_bits, b.bits) == u.full().bits
@@ -431,8 +397,7 @@ class TestMonotonicity:
 
 class TestEnumerationCalls:
     def test_one_kernel_call_per_index_and_families_only_for_the_output(self, monkeypatch):
-        u = Universe(tuple("abc"))
-        covering = Covering.from_labels(u, [["a", "b"], ["b", "c"]])
+        covering = chain_covering()
         checked, built = [], []
 
         def kernel(check, order, picked, tags, include_exchange=True, *, stop_at_first=False):

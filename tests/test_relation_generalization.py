@@ -26,7 +26,7 @@ from roughmatroids import (
     definable_family,
     neighborhoods_of_covering,
 )
-from test_exhaustive_table import ideals, preorders
+from support import ideals, preorders
 
 PAIRS = (
     (check_lower_rough_matroid_covering, check_lower_rough_matroid_relation),

@@ -30,11 +30,10 @@ from roughmatroids import (
     definable_family,
     enumerate_rough_matroids,
     neighborhoods_of_covering,
-    random_covering,
 )
 from roughmatroids.axioms import _check_rough_given
 
-from conftest import HEX_BLOCKS
+from support import hex_covering, seeded_coverings
 
 TAGS = ("CI1", "CI2", "CI3")
 
@@ -50,18 +49,6 @@ def all_coverings(n):
             union |= b
         if union == (1 << n) - 1:
             yield Covering(u, tuple(Subset(u, b) for b in blocks))
-
-
-def seeded_coverings(count=40):
-    """Seeded n = 5-7 coverings whose definable family has 9..14 members."""
-    out = []
-    for seed in range(1000):
-        covering = random_covering(5 + seed % 3, 0.35, seed)
-        if 9 <= len(definable_family(neighborhoods_of_covering(covering))) <= 14:
-            out.append(covering)
-            if len(out) == count:
-                return out
-    raise AssertionError("too few seeded coverings in the size range")
 
 
 def cut(report):
@@ -114,7 +101,7 @@ def test_every_covering_up_to_three_elements(n):
 
 
 def test_hex_covering():
-    covering = Covering.from_labels(Universe(tuple("abcdef")), HEX_BLOCKS)
+    covering = hex_covering()
     shapes = Counter()
     passing = full_scan(covering, shapes)
     assert enumerated(covering) == passing
@@ -125,7 +112,7 @@ def test_hex_covering():
 def test_seeded_coverings():
     found = 0
     shapes = Counter()
-    for covering in seeded_coverings():
+    for covering in seeded_coverings(40, sizes=range(9, 15), seeds=1000, widths=(5, 6, 7)):
         passing = full_scan(covering, shapes)
         assert enumerated(covering) == passing
         found += len(passing)

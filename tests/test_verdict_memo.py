@@ -18,7 +18,6 @@ from collections import Counter
 import pytest
 
 from roughmatroids import (
-    Covering,
     SetFamily,
     Universe,
     UniverseMismatchError,
@@ -32,8 +31,7 @@ from roughmatroids import definable
 from roughmatroids.axioms import _check_rough_given
 from roughmatroids.report import AxiomFailure, CheckReport
 
-from conftest import HEX_BLOCKS
-from test_verdict_kernel import seeded_coverings
+from support import hex_covering, seeded_coverings
 
 TAGS = ("CI1", "CI2", "CI3")
 # {e, f}: the hex member whose definable subsets {e} and {f} precede it
@@ -41,7 +39,7 @@ J = 5
 
 
 def hex_dfam():
-    covering = Covering.from_labels(Universe(tuple("abcdef")), HEX_BLOCKS)
+    covering = hex_covering()
     return covering, definable_family(neighborhoods_of_covering(covering))
 
 
@@ -91,8 +89,8 @@ class TestSharedReports:
         assert again == reports[0] and again is not reports[0]
 
     def test_enumeration_keeps_at_most_two_plus_two_d_squared_per_check(self):
-        hexes = hex_dfam()[0]
-        for covering in [hexes, *seeded_coverings()]:
+        seeded = seeded_coverings(40, sizes=range(9, 15), seeds=1000, widths=(5, 6, 7))
+        for covering in [hex_covering(), *seeded]:
             dfam = definable_family(neighborhoods_of_covering(covering))
             enumerate_rough_matroids(covering)
             check_ci3_prime(covering, dfam.subfamily(0b11), stop_at_first=True)
