@@ -279,8 +279,8 @@ def _check_on(
     approx_bits: Callable[[tuple[int, ...], int], int] | None = None,
 ) -> CheckReport:
     """One rough-matroid system over a neighborhood map: axioms tagged
-    ``<prefix>I1``..``<prefix>I3``, on the images under ``approx_bits`` on
-    the map's cells, or on the family's own order without it."""
+    ``<prefix>I1``..``<prefix>I3``, on the definable family's own order, or
+    on an order of its members' images under ``approx_bits``, built per call."""
     dfam = definable_family(nm)
     picked = dfam.index_mask(family)
     if picked is None:
@@ -288,10 +288,7 @@ def _check_on(
     if approx_bits is None:
         order = dfam.order
     else:
-        # one family per (universe, cells), so the operator alone keys its images
-        if (order := dfam.image_orders.get(approx_bits)) is None:
-            images = [approx_bits(nm.cell_bits, b) for b in dfam.masks]
-            order = dfam.image_orders[approx_bits] = MemberOrder(dfam, images)
+        order = MemberOrder(dfam, [approx_bits(nm.cell_bits, b) for b in dfam.masks])
     tags = (f"{prefix}I1", f"{prefix}I2", f"{prefix}I3")
     return _check_rough_given(check, order, picked, tags)
 

@@ -123,12 +123,6 @@ class SetFamily:
         return MemberOrder(self)
 
     @cached_property
-    def image_orders(self) -> dict[Callable[[tuple[int, ...], int], int], MemberOrder]:
-        """Orders of the members' images under an operator, keyed by the operator
-        alone: ``definable_family`` keeps one family per (universe, cells)."""
-        return {}
-
-    @cached_property
     def _member_bits(self) -> _Rows:
         """``1 << i`` for ``masks[i]``, looked up by the mask; a mask that
         is not a member raises KeyError.  Built on first lookup and kept

@@ -1,18 +1,20 @@
-"""The reports that verdict-only kernel runs share, and the orders a
-family keeps.
+"""The reports that verdict-only kernel runs share, and how long the
+orders that hold them live.
 
 A verdict-only run of ``_check_rough_given`` (``stop_at_first``) looks
 its report up in ``order.verdicts`` under the check name, the tags and the
 positions of the first witness, and builds it only on a miss; a full run
-builds a fresh report and leaves the dict alone.  The approximation
-checkers keep one image order per operator on the definable family, and
-``SetFamily.index_mask`` reads a family's masks in one lookup each.
+builds a fresh report and leaves the dict alone.  An order lives no
+longer than its definable family, which lives only while a caller holds
+it, and ``SetFamily.index_mask`` reads a family's masks in one lookup each.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
 import tracemalloc
+import weakref
 from collections import Counter
 
 import pytest
@@ -22,10 +24,13 @@ from roughmatroids import (
     Universe,
     UniverseMismatchError,
     check_ci3_prime,
+    check_lower_rough_matroid_relation,
+    check_rough_matroid_covering,
     check_upper_rough_matroid_covering,
     definable_family,
     enumerate_rough_matroids,
     neighborhoods_of_covering,
+    random_relation,
 )
 from roughmatroids import definable
 from roughmatroids.axioms import _check_rough_given
@@ -111,25 +116,28 @@ class TestSharedReports:
             assert "order" not in vars(back)
 
 
-class TestImageOrders:
-    def test_two_upper_checks_build_one_image_order(self, monkeypatch):
-        covering, dfam = hex_dfam()
-        built = []
+class TestLifetime:
+    def test_checks_leave_no_order_alive_once_collected(self, monkeypatch):
+        # only the covering and the relation are held: their neighborhood
+        # maps keep no definable family, so no order outlives its check
+        covering = hex_covering()
+        relation = random_relation(6, 0.35, 1)
+        alive = []
         init = definable.MemberOrder.__init__
 
-        def counting(self, family, images=None):
-            built.append(images is not None)
+        def recording(self, family, images=None):
+            alive.append(weakref.ref(self))
             init(self, family, images)
 
-        monkeypatch.setattr(definable.MemberOrder, "__init__", counting)
-        dfam.image_orders.clear()
-        passing = dfam.subfamily(1)
-        failing = dfam.subfamily(0b10)
-        first = check_upper_rough_matroid_covering(covering, passing)
-        second = check_upper_rough_matroid_covering(covering, failing)
-        assert built == [True]
-        assert first.passed and second.failed_axiom == "UI1"
-        assert len(dfam.image_orders) == 1
+        monkeypatch.setattr(definable.MemberOrder, "__init__", recording)
+        empty_set = SetFamily(covering.universe, (0,))
+        assert check_rough_matroid_covering(covering, empty_set).passed
+        assert check_upper_rough_matroid_covering(covering, empty_set).passed
+        assert check_lower_rough_matroid_relation(relation, empty_set).passed
+        enumerate_rough_matroids(covering)
+        assert len(alive) >= 3
+        gc.collect()
+        assert [ref for ref in alive if ref() is not None] == []
 
 
 class TestIndexMask:
