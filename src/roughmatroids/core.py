@@ -12,8 +12,8 @@ function, so structures can be shared freely across workers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 # Hard bound for full powerset scans.  Larger universes are accepted by the
@@ -46,8 +46,35 @@ def require_same_universe(a, b) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Universe:
+class Immutable:
+    """Immutable value: a subclass lists its ``_fields`` and its ``__init__``
+    writes them through ``__dict__``.  Setting or deleting any attribute raises
+    AttributeError; values of one class with equal fields are equal."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._field_values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._field_values(self) == self._field_values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._field_values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Universe(Immutable):
     """Ordered, finite, nonempty ground set.
 
     A label's position is its element index, kept in the package's one
@@ -55,23 +82,21 @@ class Universe:
     those positions, and canonical output follows the declaration order.
     """
 
-    labels: tuple[str, ...]
-    _positions: dict[str, int] = field(init=False, repr=False, compare=False, default_factory=dict)
+    _fields = ("labels",)
 
-    def __post_init__(self):
-        if not isinstance(self.labels, tuple):
-            object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) == 0:
+    def __init__(self, labels: Iterable[str]):
+        labels = tuple(labels)
+        if len(labels) == 0:
             raise ValueError("universe must be nonempty")
-        if any(not isinstance(lab, str) or not lab for lab in self.labels):
+        if any(not isinstance(lab, str) or not lab for lab in labels):
             raise ValueError("universe labels must be nonempty strings")
-        positions = {lab: i for i, lab in enumerate(self.labels)}
-        if len(positions) != len(self.labels):
+        positions = {lab: i for i, lab in enumerate(labels)}
+        if len(positions) != len(labels):
             raise ValueError("universe labels must be pairwise distinct")
-        object.__setattr__(self, "_positions", positions)
-        if len(self.labels) > SCAN_LIMIT:
+        self.__dict__.update(labels=labels, _positions=positions)
+        if len(labels) > SCAN_LIMIT:
             warnings.warn(
-                f"universe has {len(self.labels)} elements; exhaustive "
+                f"universe has {len(labels)} elements; exhaustive "
                 f"operations are bounded at {SCAN_LIMIT}",
                 stacklevel=2,
             )
@@ -121,8 +146,7 @@ class Universe:
             yield Subset(self, bits)
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(Immutable):
     """A subset of a universe, held as a membership bit mask.
 
     Equality is extensional: two subsets are equal exactly when they have the
@@ -131,8 +155,11 @@ class Subset:
     check that both operands share one universe.
     """
 
-    universe: Universe
-    bits: int
+    _fields = ("universe", "bits")
+
+    def __init__(self, universe: Universe, bits: int):
+        self.__dict__.update(universe=universe, bits=bits)
+        self.__post_init__()  # its own method, which the benchmark tracer wraps to count
 
     def __post_init__(self):
         if not 0 <= self.bits < (1 << self.universe.size):
@@ -211,8 +238,7 @@ def canonical_mask_key(bits: int, n: int) -> int:
     return bits.bit_count() << 8 * width | int.from_bytes(flipped, "big")
 
 
-@dataclass(frozen=True)
-class Covering:
+class Covering(Immutable):
     """A family of nonempty blocks whose union is the whole universe.
 
     Duplicate blocks are rejected at ingestion: a covering is a set of
@@ -220,12 +246,10 @@ class Covering:
     input mistake.
     """
 
-    universe: Universe
-    blocks: tuple[Subset, ...]
+    _fields = ("universe", "blocks")
 
-    def __post_init__(self):
-        if not isinstance(self.blocks, tuple):
-            object.__setattr__(self, "blocks", tuple(self.blocks))
+    def __init__(self, universe: Universe, blocks: Iterable[Subset]):
+        self.__dict__.update(universe=universe, blocks=tuple(blocks))
         if len(self.blocks) == 0:
             raise InvalidCoveringError("a covering must contain at least one block")
         seen: set[int] = set()
@@ -275,16 +299,13 @@ class Covering:
         return total == (1 << self.universe.size) - 1
 
 
-@dataclass(frozen=True)
-class BinaryRelation:
+class BinaryRelation(Immutable):
     """A binary relation on the universe, stored as index pairs."""
 
-    universe: Universe
-    pairs: frozenset[tuple[int, int]]
+    _fields = ("universe", "pairs")
 
-    def __post_init__(self):
-        if not isinstance(self.pairs, frozenset):
-            object.__setattr__(self, "pairs", frozenset(self.pairs))
+    def __init__(self, universe: Universe, pairs: Iterable[tuple[int, int]]):
+        self.__dict__.update(universe=universe, pairs=frozenset(pairs))
         n = self.universe.size
         for x, y in self.pairs:
             if not (0 <= x < n and 0 <= y < n):
@@ -309,8 +330,7 @@ class BinaryRelation:
         return NeighborhoodMap(u, tuple(bits))
 
 
-@dataclass(frozen=True)
-class NeighborhoodMap:
+class NeighborhoodMap(Immutable):
     """One subset per element, as its membership mask: the granule the
     element is approximated by.
 
@@ -321,10 +341,10 @@ class NeighborhoodMap:
     below treat both uniformly.
     """
 
-    universe: Universe
-    cell_bits: tuple[int, ...]
+    _fields = ("universe", "cell_bits")
 
-    def __post_init__(self):
+    def __init__(self, universe: Universe, cell_bits: tuple[int, ...]):
+        self.__dict__.update(universe=universe, cell_bits=cell_bits)
         if len(self.cell_bits) != self.universe.size:
             raise ValueError("need exactly one neighborhood per element")
         top = 1 << self.universe.size

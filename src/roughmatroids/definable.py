@@ -15,7 +15,6 @@ built for witnesses and for callers that iterate the members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import compress, repeat
 from operator import or_
@@ -24,6 +23,7 @@ from weakref import WeakValueDictionary
 
 from .core import (
     SCAN_LIMIT,
+    Immutable,
     NeighborhoodMap,
     SizeBoundError,
     Subset,
@@ -42,8 +42,7 @@ _FAMILIES: WeakValueDictionary = WeakValueDictionary()
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(Immutable):
     """A deduplicated family of subsets: its int masks, in canonical order.
 
     The constructor takes masks and ``SetFamily.of`` takes ``Subset``s;
@@ -56,20 +55,18 @@ class SetFamily:
     superset always has the higher index.
     """
 
-    universe: Universe
-    masks: tuple[int, ...]
+    _fields = ("universe", "masks")
 
-    def __post_init__(self):
-        n = self.universe.size
-        masks = self.masks
+    def __init__(self, universe: Universe, masks: tuple[int, ...]):
+        n = universe.size
         if not all(isinstance(m, int) for m in masks):
             raise TypeError("SetFamily takes int masks; use SetFamily.of for Subset members")
         if masks and not (0 <= min(masks) and max(masks) < 1 << n):
             raise ValueError(f"family masks must lie in [0, 2^{n})")
-        if len(self.bitset()) != len(masks):
+        if len(bits := frozenset(masks)) != len(masks):
             raise ValueError("family members must be distinct")
-        ordered = sorted(masks, key=lambda m: canonical_mask_key(m, n))
-        object.__setattr__(self, "masks", tuple(ordered))
+        ordered = tuple(sorted(masks, key=lambda m: canonical_mask_key(m, n)))
+        self.__dict__.update(universe=universe, masks=ordered, _bits=bits)
 
     @classmethod
     def of(cls, universe: Universe, members: Iterable[Subset]) -> SetFamily:
@@ -153,8 +150,7 @@ class SetFamily:
             raise ValueError(f"mask {mask} selects outside a family of {len(self)} members")
         flags = f"{mask:b}"[::-1].encode().translate(_DIGIT_FLAGS)
         family = object.__new__(SetFamily)
-        object.__setattr__(family, "universe", self.universe)
-        object.__setattr__(family, "masks", tuple(compress(self.masks, flags)))
+        family.__dict__.update(universe=self.universe, masks=tuple(compress(self.masks, flags)))
         return family
 
     def union_all(self) -> Subset:

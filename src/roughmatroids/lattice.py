@@ -13,10 +13,9 @@ and returns the atom list either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .core import LawViolationError, Subset
+from .core import Immutable, LawViolationError, Subset
 from .definable import SetFamily, check_closure
 from .report import AxiomFailure, CheckReport
 
@@ -36,8 +35,7 @@ class NotALatticeError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class LatticeDiagram:
+class LatticeDiagram(Immutable):
     """The Hasse diagram of a union/intersection-closed family.
 
     The family fixes the rest.  ``edges`` are the cover pairs of its
@@ -52,10 +50,10 @@ class LatticeDiagram:
     a strict inclusion.
     """
 
-    family: SetFamily
+    _fields = ("family",)
 
-    def __post_init__(self):
-        family = self.family
+    def __init__(self, family: SetFamily):
+        self.__dict__["family"] = family
         if len(family) == 0:
             failure = AxiomFailure("closure", {}, note="empty family has no bottom element")
             raise NotALatticeError(CheckReport("closure", (failure,)))

@@ -13,17 +13,16 @@ from __future__ import annotations
 import os
 import random
 import struct
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import compress
 from operator import eq, or_
-from string import ascii_lowercase
 from typing import Collection, Sequence
 
 from .core import (
     SCAN_LIMIT,
     BinaryRelation,
     Covering,
+    Immutable,
     SizeBoundError,
     Subset,
     Universe,
@@ -53,8 +52,7 @@ _SAMPLED_PAIRS = 2000
 MAX_TRIALS = 1 << 16
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class EnumerationBudget(Immutable):
     """Bounds and reproducibility knobs for the exhaustive operations.
 
     ``max_family_base`` (the most definable sets ``enumerate`` scans every
@@ -66,8 +64,10 @@ class EnumerationBudget:
     max_family_base: int = 18
     trials: int = 100
     seed: int = 0
+    _fields = ("max_family_base", "trials", "seed")
 
-    def __post_init__(self):
+    def __init__(self, max_family_base=max_family_base, trials=trials, seed=seed):
+        self.__dict__.update(max_family_base=max_family_base, trials=trials, seed=seed)
         if self.max_family_base < 1 or self.trials < 1:
             raise ValueError("budget bounds must be positive")
         if (base := self.max_family_base) > SCAN_LIMIT:
@@ -193,8 +193,8 @@ def classical_matroids(n: int) -> set[frozenset[int]]:
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
-    if n <= len(ascii_lowercase):
-        return tuple(ascii_lowercase[:n])
+    if n <= 26:
+        return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
     return tuple(f"x{i}" for i in range(1, n + 1))
 
 

@@ -10,27 +10,33 @@ is the primary failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from .core import Immutable
 
-@dataclass(frozen=True)
-class AxiomFailure:
+
+class AxiomFailure(Immutable):
     """One failed axiom plus the witness instantiating its quantifiers."""
 
-    axiom: str
-    witness: Mapping[str, Any]
-    note: str = ""
+    _fields = ("axiom", "witness", "note")
+
+    def __init__(self, axiom: str, witness: Mapping[str, Any], note: str = ""):
+        self.__dict__.update(axiom=axiom, witness=witness, note=note)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Immutable):
     """One verdict: it passes exactly when it lists no failure."""
 
-    check: str
-    failures: tuple[AxiomFailure, ...] = ()
-    notes: str = ""
-    details: Mapping[str, Any] = field(default_factory=dict)
+    _fields = ("check", "failures", "notes", "details")
+
+    def __init__(
+        self,
+        check: str,
+        failures: tuple[AxiomFailure, ...] = (),
+        notes: str = "",
+        details: Mapping[str, Any] | None = None,
+    ):
+        self.__dict__.update(check=check, failures=failures, notes=notes, details=details or {})
 
     @property
     def passed(self) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -28,6 +29,22 @@ from roughmatroids import Universe
 from support import json_objects
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def modules_loaded_by_cli_import(*names: str) -> list[str]:
+    """Those of ``names`` in ``sys.modules`` after ``import roughmatroids.cli``
+    in a fresh interpreter with ``src`` first on its path."""
+    probe = f"import sys, roughmatroids.cli; print([m for m in {names!r} if m in sys.modules])"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return ast.literal_eval(done.stdout)
 
 
 def run(capsys, *argv):
@@ -504,20 +521,11 @@ class TestOtherCommands:
         assert json.loads(err)["error"]["type"] == "SizeBoundError"
 
     def test_cli_import_leaves_the_process_pool_unloaded(self):
-        probe = (
-            "import sys, roughmatroids.cli; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
-        )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert done.stdout.strip() == "[]"
+        assert modules_loaded_by_cli_import("multiprocessing", "concurrent.futures") == []
+
+    def test_cli_import_loads_no_dataclasses_inspect_or_string(self):
+        # each costs start-up time in every CLI process; see README, "Command line"
+        assert modules_loaded_by_cli_import("dataclasses", "inspect", "string") == []
 
     def test_relation_label_of_another_type_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "rel.json"
