@@ -163,7 +163,7 @@ def _cmd_uniform(args):
     _, covering = _load_covering(args.structure, "uniform")
     if args.proposition:
         return check_uniform_proposition(covering, args.r)
-    return fileio.family_payload(uniform_family(covering, args.r, strict=args.strict))
+    return fileio.family_payload(uniform_family(covering, args.r))
 
 
 def _cmd_direct_sum(args):
@@ -192,9 +192,7 @@ def _cmd_extension_check(args):
     d1 = fileio.parse_set_literal(args.d1, universe)
     d2 = fileio.parse_set_literal(args.d2, universe)
     # validated: the neighborhood criterion agrees with the membership test
-    blocked = one_point_extension_blocked(
-        covering, d1, d2, args.element, require_size_gap=not args.no_size_check
-    )
+    blocked = one_point_extension_blocked(covering, d1, d2, args.element)
     return {
         "d1": fileio.subset_payload(d1),
         "d2": fileio.subset_payload(d2),
@@ -265,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("uniform", _cmd_uniform, ("json", "text"), help="definable sets up to a cardinality bound")
     p.add_argument("structure")
     p.add_argument("--r", type=int, required=True, help="cardinality bound")
-    p.add_argument("--strict", action="store_true", help="require 0 < r < n")
     p.add_argument(
         "--proposition",
         action="store_true",
@@ -287,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d1", required=True, help="set literal")
     p.add_argument("--d2", required=True, help="set literal")
     p.add_argument("--element", required=True, help="element of d2 - d1 to add")
-    p.add_argument("--no-size-check", action="store_true", help="waive the |d1| < |d2| precondition")
 
     p = add("enumerate", _cmd_enumerate, help="all rough matroids over a covering")
     p.add_argument("structure")

@@ -30,17 +30,11 @@ from .definable import SetFamily, definable_family
 from .report import AxiomFailure, CheckReport
 
 
-def uniform_family(covering: Covering, r: int, strict: bool = False) -> SetFamily:
-    """All definable sets of cardinality at most r.
-
-    The relaxed bound 1 <= r <= n is the default; ``strict`` narrows it to
-    0 < r < n for callers that want the original strict range.
-    """
+def uniform_family(covering: Covering, r: int) -> SetFamily:
+    """All definable sets of cardinality at most r, for 1 <= r <= n; at
+    r = n that is the whole definable family."""
     n = covering.universe.size
-    if strict:
-        if not 0 < r < n:
-            raise ValueError(f"rank bound r={r} outside the strict range 0 < r < {n}")
-    elif not 1 <= r <= n:
+    if not 1 <= r <= n:
         raise ValueError(f"rank bound r={r} outside the range 1 <= r <= {n}")
     dfam = definable_family(neighborhoods_of_covering(covering))
     return SetFamily(covering.universe, tuple(b for b in dfam.masks if b.bit_count() <= r))
@@ -112,21 +106,14 @@ def extension_sides(covering: Covering, d1: Subset, d2: Subset, idx: int) -> tup
     return blocked, predicted
 
 
-def one_point_extension_blocked(
-    covering: Covering,
-    d1: Subset,
-    d2: Subset,
-    element: str,
-    require_size_gap: bool = True,
-) -> bool:
+def one_point_extension_blocked(covering: Covering, d1: Subset, d2: Subset, element: str) -> bool:
     """Whether adding one element of d2 - d1 to d1 leaves the definable
     family.
 
     Validates that d1 and d2 lie on the covering's universe (raising
     ``UniverseMismatchError`` otherwise) and are definable, and that the
-    element lies in d2 - d1; the cardinality gap between d1 and d2 is
-    required by default but can be waived, since neither direction of the
-    criterion uses it.
+    element lies in d2 - d1.  No cardinality gap between d1 and d2 is
+    required, since neither direction of the criterion uses one.
     Both the membership test and the neighborhood criterion are computed,
     and their agreement is asserted.
     """
@@ -135,8 +122,6 @@ def one_point_extension_blocked(
         require_same_universe(covering, d)
         if d not in dfam:
             raise ValueError(f"{name}={d.notation()} is not definable")
-    if require_size_gap and not len(d1) < len(d2):
-        raise ValueError("d1 must have smaller cardinality than d2")
     idx = covering.universe.index(element)
     if not (d2.bits >> idx) & 1 or (d1.bits >> idx) & 1:
         raise ValueError(f"element {element!r} must lie in d2 - d1")

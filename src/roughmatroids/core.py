@@ -39,7 +39,7 @@ class LawViolationError(RuntimeError):
 
 def require_same_universe(a, b) -> None:
     """Raise UniverseMismatchError unless a and b share one universe."""
-    if a.universe != b.universe:
+    if a.universe is not b.universe and a.universe != b.universe:
         raise UniverseMismatchError(
             f"values live on different universes: "
             f"{a.universe.labels} vs {b.universe.labels}"
@@ -255,8 +255,7 @@ class Covering(Immutable):
         seen: set[int] = set()
         union = 0
         for blk in self.blocks:
-            if blk.universe != self.universe:
-                raise UniverseMismatchError("covering block on a different universe")
+            require_same_universe(blk, self)
             if blk.bits == 0:
                 raise InvalidCoveringError("covering blocks must be nonempty")
             if blk.bits in seen:

@@ -46,7 +46,6 @@ from roughmatroids import (
     upper_approx,
 )
 from roughmatroids.axioms import approx_exchange_within
-from roughmatroids.oracle import _subfamily
 from support import (
     HEX_DEFINABLE,
     REL4_FAMILY,
@@ -240,7 +239,7 @@ def criterion_6_law_suite():
         dfam = definable_family(neighborhoods_of_covering(covering))
         rng = random.Random(i)
         for _ in range(4):
-            family = _subfamily(dfam, rng.randrange(1 << min(len(dfam), 16)))
+            family = dfam.subfamily(rng.randrange(1 << min(len(dfam), 16)))
             if check_rough_matroid_covering(covering, family).passed:
                 assert check_matroid_condition(covering, family).passed, i
     rng = random.Random(414)

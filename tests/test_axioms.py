@@ -39,7 +39,7 @@ from roughmatroids.axioms import (
     augmentation_within,
     exchange_within,
 )
-from roughmatroids.oracle import _subfamily, classical_matroids
+from roughmatroids.oracle import classical_matroids
 
 
 def forest_family(universe):
@@ -282,7 +282,7 @@ class TestMatroidCondition:
         covering = random_covering(n, 0.5, cov_seed)
         dfam = definable_family(neighborhoods_of_covering(covering))
         rng = random.Random(fam_seed)
-        family = _subfamily(dfam, rng.randrange(1 << len(dfam)))
+        family = dfam.subfamily(rng.randrange(1 << len(dfam)))
         if not check_rough_matroid_covering(covering, family).passed:
             return
         assert check_matroid_condition(covering, family).passed
@@ -357,7 +357,7 @@ class TestWitnessReplay:
         covering = random_covering(n, 0.5, cov_seed)
         dfam = definable_family(neighborhoods_of_covering(covering))
         rng = random.Random(fam_seed)
-        replay_every_failure(covering, _subfamily(dfam, rng.randrange(1 << min(len(dfam), 16))))
+        replay_every_failure(covering, dfam.subfamily(rng.randrange(1 << min(len(dfam), 16))))
 
     def test_exchange_witnesses_replay(self):
         # uniformly drawn subfamilies nearly always fail the empty set or
@@ -372,7 +372,7 @@ class TestWitnessReplay:
                 dfam = definable_family(structure.neighborhoods)
                 uniform = rng.randrange(1 << min(len(dfam), 16))
                 for mask in [uniform, *down_closure_masks(dfam, rng, 4)]:
-                    replayed.update(replay_every_failure(structure, _subfamily(dfam, mask)))
+                    replayed.update(replay_every_failure(structure, dfam.subfamily(mask)))
         assert all(replayed[axiom] for axiom in ("I3", "CI3", "LI3", "UI3")), replayed
 
 
@@ -383,7 +383,7 @@ class TestWitnessReplayRelations:
         relation = random_relation(n, density, rel_seed)
         dfam = definable_family(successor_neighborhoods(relation))
         rng = random.Random(fam_seed)
-        replay_every_failure(relation, _subfamily(dfam, rng.randrange(1 << min(len(dfam), 16))))
+        replay_every_failure(relation, dfam.subfamily(rng.randrange(1 << min(len(dfam), 16))))
 
 
 class TestCheckerLaws:
@@ -406,7 +406,7 @@ class TestCheckerLaws:
         covering = random_covering(n, 0.5, cov_seed)
         dfam = definable_family(neighborhoods_of_covering(covering))
         rng = random.Random(fam_seed)
-        family = _subfamily(dfam, rng.randrange(1 << len(dfam)))
+        family = dfam.subfamily(rng.randrange(1 << len(dfam)))
         if not check_matroid(covering.universe, family).passed:
             return
         assert check_rough_matroid_covering(covering, family).passed
@@ -419,7 +419,7 @@ class TestCheckerLaws:
         dfam = definable_family(neighborhoods_of_covering(covering))
         assert len(dfam) == 8
         for fammask in range(1 << 8):
-            family = _subfamily(dfam, fammask)
+            family = dfam.subfamily(fammask)
             classical = check_matroid(u, family).passed
             rough = check_rough_matroid_covering(covering, family).passed
             assert classical == rough, f"verdicts split at mask {fammask}"
@@ -432,7 +432,7 @@ class TestCheckerLaws:
         dfam = definable_family(neighborhoods_of_covering(covering))
         assert len(dfam) == 16
         for fammask in range(1 << 16):
-            family = _subfamily(dfam, fammask)
+            family = dfam.subfamily(fammask)
             classical = check_matroid(u, family).passed
             rough = _check_rough_given(
                 "rough-cov", dfam.order, fammask, ("CI1", "CI2", "CI3")

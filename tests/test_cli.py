@@ -645,7 +645,7 @@ class TestOtherCommands:
             calls.clear()
             code, out, _ = run(
                 capsys, "extension-check", fx("cov_hex.json"),
-                "--d1", d1, "--d2", d2, "--element", element, "--no-size-check",
+                "--d1", d1, "--d2", d2, "--element", element,
             )
             assert code == 0
             payload = json.loads(out)

@@ -115,7 +115,6 @@ def bound_flags(labels: list) -> list[list[str]]:
         ["enumerate", "S", "--max-family-base", "21"],
         ["enumerate", "S", "--jobs", "0"],
         ["uniform", "S", "--r", "-1"],
-        ["uniform", "S", "--r", str(n), "--strict"],
         ["uniform", "S", "--r", str(n + 1)],
         ["cross-check", "S", "--seed", "-1", "--trials", "1"],
         ["cross-check", "S", "--seed", "0", "--trials", "0"],

@@ -69,11 +69,11 @@ FORMS = {
     "check-matroid-passes": ["check", "matroid", "cov_mixed4.json", "fam_matroid.json"],
     "check-matroid-cond-fail": ["check", "matroid-cond", "cov_mixed4.json",
                                 "fam_mixed4_fail.json"],
-    "uniform-strict": ["uniform", "cov_hex.json", "--r", "3", "--strict"],
+    "uniform-strict": ["uniform", "cov_hex.json", "--r", "3"],
     "enumerate-start": ["enumerate", "cov_chain3.json", "--start", "5"],
     "cross-check-trials": ["cross-check", "cov_mixed4.json", "--seed", "3", "--trials", "5"],
     "extension-no-size-check": ["extension-check", "cov_hex.json", "--d1", "{a,d}", "--d2",
-                                "{e}", "--element", "e", "--no-size-check"],
+                                "{e}", "--element", "e"],
     "wide-universe-warning": ["neighborhoods", "cov_wide.json"],
     # formats that are allowed
     "lattice-dot-mixed4": ["lattice", "cov_mixed4.json", "--format", "dot"],
@@ -141,7 +141,8 @@ FORMS = {
     "missing-file": ["neighborhoods", "missing.json"],
     # out-of-range flags
     "uniform-r-range": ["uniform", "cov_hex.json", "--r", "0"],
-    "uniform-strict-range": ["uniform", "cov_hex.json", "--r", "6", "--strict"],
+    # the upper bound r = n is in range and gives the whole definable family
+    "uniform-strict-range": ["uniform", "cov_hex.json", "--r", "6"],
     "enumerate-jobs-zero": ["enumerate", "cov_chain3.json", "--jobs", "0"],
     "enumerate-start-range": ["enumerate", "cov_chain3.json", "--start", "33"],
     "enumerate-start-negative": ["enumerate", "cov_chain3.json", "--start", "-1"],
@@ -220,7 +221,7 @@ EXPECTED = {
     "enumerate-start-range": "7425dca2136836fbc96754e8772ee765bc201be2d4922877696883918cca63dc",
     "extension-check": "0d43a45d0e948a794430641314e17d07f79a1749579cb240fc5cdf03c9a27cc5",
     "extension-check-text": "337e0725c4b036c8040e1f8f038de385c6f56573d20daa3114e10093ee0c3ec8",
-    "extension-no-size-check": "cfbc1eb809c94964afcfa005d1797f74261fec86fb45ca3093e8fbadd47e761c",
+    "extension-no-size-check": "a5aa238a0afbc315efbfb22230668c993fda8bb58cb942be98d61c2093bac6f1",
     "extension-on-relation": "4e4d00e406cf6b25ef1ef6eae66c3eaabe9628a36813bc0bcfd95abd3f29ffe1",
     "help": "dc0f3da0201b60ed4bae42af5225d2cc7aa644a97af108d23bf8a77e19e39c9d",
     "invalid-json": "55e2b3d5c5cfdeaccf31153d72b41ad586dc418e8cf4e766df7028738abdd427",
@@ -244,8 +245,8 @@ EXPECTED = {
     "uniform-proposition-dot": "b51f99cdcb1d0a5e8dcdb83c63525bb4c48c13de9e14344a56d1bcde201b1f3b",
     "uniform-proposition-text": "eafc11cb40f773555b2e8599341835a8758a8281d5f71c1697539b02ae661620",
     "uniform-r-range": "5ff6b9b1530e6507e3a7bb15582862338d5ac96e2c0fc5fa2ee58ab81cbe5f25",
-    "uniform-strict": "af89a3bfba7ac43ef1927e273030ecdcb4d9349dae214b39e01418b55536eb6b",
-    "uniform-strict-range": "ec29c0f30b25dd8a88fbd7758feb42dd42d200468d03bf3b7af09ad0f3f8b3f4",
+    "uniform-strict": "b8e68a7b7ea51ecd5fd18d197c931635bdb74bf0e251352fa6ff84fb08cf81d9",
+    "uniform-strict-range": "1d7f57db432673ee980f5f9f9c4fe9c7d976a9d45b73336496dc5ded38004d18",
     "uniform-text": "4cc29cc166e32c29d81073b002a3eaaddfb8ec105a0eaa76fa0a28151990e916",
     "universe-mismatch": "677bab94a2501eae27ccc39f1a463ec2e71b0b6f5f664f47c7abc50540ce0548",
     "unknown-check": "1e9c00d8667a5e21e32befcd1361a449fe3610ad5ebd27f28e08d889ac621578",

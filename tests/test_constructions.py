@@ -28,7 +28,7 @@ from roughmatroids import (
     uniform_family,
 )
 from roughmatroids import definable
-from roughmatroids.oracle import _subfamily
+from support import preorder_coverings
 
 
 @pytest.fixture
@@ -91,8 +91,6 @@ class TestUniformFamily:
             uniform_family(mixed4_covering, 0)
         with pytest.raises(ValueError):
             uniform_family(mixed4_covering, 5)
-        with pytest.raises(ValueError):
-            uniform_family(mixed4_covering, 4, strict=True)
         assert len(uniform_family(mixed4_covering, 4)) == 9
 
 
@@ -160,13 +158,10 @@ class TestOnePointExtension:
             one_point_extension_blocked(
                 hex_covering, hex_universe.subset(["b"]), hex_universe.full(), "a"
             )
-        with pytest.raises(ValueError, match="cardinality"):
-            one_point_extension_blocked(
-                hex_covering,
-                hex_universe.subset(["a", "d"]),
-                hex_universe.subset(["e"]),
-                "e",
-            )
+        # no cardinality gap is required: |{a, d}| > |{e}|
+        assert one_point_extension_blocked(
+            hex_covering, hex_universe.subset(["a", "d"]), hex_universe.subset(["e"]), "e"
+        ) is False
         with pytest.raises(ValueError, match="d2 - d1"):
             one_point_extension_blocked(
                 hex_covering,
@@ -186,8 +181,8 @@ class TestOnePointExtension:
     @settings(max_examples=40, deadline=None)
     def test_biconditional_exhaustive(self, n, seed):
         # agreement of the membership route and the neighborhood route is
-        # asserted inside the call; hypothesis drives it across coverings,
-        # with and without the cardinality gap
+        # asserted inside the call; hypothesis drives it across coverings
+        # and pairs in either size order
         covering = random_covering(n, 0.5, seed)
         dfam = definable_family(neighborhoods_of_covering(covering))
         for d1 in dfam:
@@ -195,9 +190,27 @@ class TestOnePointExtension:
                 if d1 == d2:
                     continue
                 for label in (d2 - d1).members():
-                    one_point_extension_blocked(
-                        covering, d1, d2, label, require_size_gap=False
+                    one_point_extension_blocked(covering, d1, d2, label)
+
+
+def test_extension_and_uniform_ranges_on_every_preorder_covering():
+    # every ordered pair of distinct definable sets, in either size order,
+    # and the top rank bound r = n, on one covering per neighborhood map
+    for covering in preorder_coverings():
+        dfam = definable_family(neighborhoods_of_covering(covering))
+        members = set(dfam.masks)
+        for d1 in dfam:
+            for d2 in dfam:
+                if d1 == d2:
+                    continue
+                for label in (d2 - d1).members():
+                    added = d1.bits | 1 << covering.universe.index(label)
+                    assert one_point_extension_blocked(covering, d1, d2, label) is (
+                        added not in members
                     )
+        family = uniform_family(covering, covering.universe.size)
+        assert family == dfam
+        assert check_rough_matroid_covering(covering, family).passed
 
 
 class TestDisjointSums:
@@ -367,7 +380,7 @@ class TestCi3Prime:
         dfam = definable_family(neighborhoods_of_covering(mixed4_covering))
         assert len(dfam) == 9
         for mask in range(1 << 9):
-            family = _subfamily(dfam, mask)
+            family = dfam.subfamily(mask)
             plain = check_rough_matroid_covering(mixed4_covering, family)
             prime = check_ci3_prime(mixed4_covering, family)
             assert plain.passed == prime.passed, f"disagreement at mask {mask}"
@@ -380,7 +393,7 @@ class TestCi3Prime:
         covering = random_covering(n, 0.5, cov_seed)
         dfam = definable_family(neighborhoods_of_covering(covering))
         rng = _random.Random(fam_seed)
-        family = _subfamily(dfam, rng.randrange(1 << min(len(dfam), 16)))
+        family = dfam.subfamily(rng.randrange(1 << min(len(dfam), 16)))
         plain = check_rough_matroid_covering(covering, family)
         prime = check_ci3_prime(covering, family)
         assert plain.passed == prime.passed

@@ -17,6 +17,7 @@ from roughmatroids import (
     Universe,
     UniverseMismatchError,
     check_duality,
+    cross_check,
     lower_approx,
     NeighborhoodMap,
     neighborhoods_of_covering,
@@ -133,6 +134,25 @@ class TestSubset:
         u2 = Universe(("a", "c"))
         with pytest.raises(UniverseMismatchError):
             u1.subset(["a"]) | u2.subset(["a"])
+
+    def test_shared_universe_is_not_compared(self, monkeypatch):
+        # values on one Universe object skip the field-by-field equality test,
+        # which the law suite would otherwise run thousands of times
+        calls = []
+        eq = Universe.__eq__
+
+        def counted(self, other):
+            calls.append(other)
+            return eq(self, other)
+
+        monkeypatch.setattr(Universe, "__eq__", counted)
+        for n, seed in ((8, 3), (9, 7), (10, 11), (11, 2)):
+            cross_check(random_covering(n, 0.3, seed))
+        assert calls == []
+        # equal universes that are distinct objects still combine
+        a, b = Universe(("a", "b")), Universe(("a", "b"))
+        assert (a.subset(["a"]) | b.subset(["b"])) == a.full()
+        assert len(calls) == 1
 
     def test_members_in_declaration_order(self):
         u = Universe(("b", "a"))

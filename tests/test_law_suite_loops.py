@@ -57,7 +57,6 @@ from roughmatroids.oracle import (
     _choice_indices,
     _extension_scan,
     _sample_distinct,
-    _subfamily,
     _union_table,
 )
 from roughmatroids.report import AxiomFailure, CheckReport
@@ -364,7 +363,7 @@ def test_subfamily_equals_the_validated_selection():
         dfam = definable_family(neighborhoods_of_covering(covering))
         masks = [0, 1, (1 << len(dfam)) - 1] + [rng.getrandbits(len(dfam)) for _ in range(200)]
         for mask in masks:
-            family = _subfamily(dfam, mask)
+            family = dfam.subfamily(mask)
             assert family == validated_subfamily(dfam, mask)
             assert family.bitset() == validated_subfamily(dfam, mask).bitset()
             assert dfam.index_mask(family) == mask
@@ -378,7 +377,7 @@ def test_ci3_prime_walk_matches_on_every_hex_subfamily():
     dfam = definable_family(neighborhoods_of_covering(covering))
     verdicts = set()
     for mask in range(1 << len(dfam)):
-        family = _subfamily(dfam, mask)
+        family = dfam.subfamily(mask)
         new = check_ci3_prime(covering, family)
         assert new == topdown_ci3_prime(covering, family), mask
         assert new == above_ci3_prime(covering, family), mask
@@ -397,7 +396,7 @@ def test_ci3_prime_walk_matches_on_seeded_coverings():
         else:
             masks = [rng.getrandbits(len(dfam)) for _ in range(300)]
         for mask in masks:
-            family = _subfamily(dfam, mask)
+            family = dfam.subfamily(mask)
             new = check_ci3_prime(covering, family)
             assert new == topdown_ci3_prime(covering, family)
             assert new == above_ci3_prime(covering, family)

@@ -44,7 +44,6 @@ from roughmatroids import definable, oracle
 from roughmatroids.core import canonical_mask_key, lower_approx_bits, upper_approx_bits
 from roughmatroids.axioms import _check_rough_given
 from roughmatroids.fileio import dumps, report_payload
-from roughmatroids.oracle import _subfamily
 from roughmatroids.report import AxiomFailure, CheckReport
 
 from support import chain_covering, hex_covering, seeded_coverings, small_neighborhood_maps
@@ -144,7 +143,7 @@ class TestPlainKernel:
         order = dfam.order
         for mask in range(1 << 16):
             new = _check_rough_given("rough-cov", order, mask, TAGS)
-            old = scan_check("rough-cov", dfam, _subfamily(dfam, mask), TAGS)
+            old = scan_check("rough-cov", dfam, dfam.subfamily(mask), TAGS)
             # equal reports (witness subsets and all) have equal payloads
             assert new == old, mask
 
@@ -152,7 +151,7 @@ class TestPlainKernel:
         for covering in small_seeded_coverings(6):
             dfam = definable_family(neighborhoods_of_covering(covering))
             for mask in range(1 << len(dfam)):
-                family = _subfamily(dfam, mask)
+                family = dfam.subfamily(mask)
                 new = check_rough_matroid_covering(covering, family)
                 assert new == scan_check("rough-cov", dfam, family, TAGS), mask
 
@@ -160,7 +159,7 @@ class TestPlainKernel:
         for covering in [hex_covering(), *small_seeded_coverings(3)]:
             dfam = definable_family(neighborhoods_of_covering(covering))
             for mask in range(1 << min(len(dfam), 12)):
-                family = _subfamily(dfam, mask)
+                family = dfam.subfamily(mask)
                 assert check_ci3_prime(covering, family) == scan_ci3_prime(covering, family)
 
     def test_non_definable_families_fail_on_definability_alike(self):
@@ -198,7 +197,7 @@ def test_approximation_checkers_match_the_scan(check):
         dfam = definable_family(nm)
         approx = partial(approx_bits, nm.cell_bits)
         masks = {rng.randrange(1 << len(dfam)) for _ in range(150)} | {0, (1 << len(dfam)) - 1}
-        families = [_subfamily(dfam, m) for m in sorted(masks)]
+        families = [dfam.subfamily(m) for m in sorted(masks)]
         families += non_definable_families(structure.universe, rng, 20)
         for family in families:
             old = scan_check(check, dfam, family, tags, approx=approx)
@@ -264,7 +263,7 @@ class TestCanonicalOrder:
             lambda f: check_matroid_condition(covering, f),
             lambda f: check_ci3_prime(covering, f),
         ]
-        families = [dfam] + [_subfamily(dfam, rng.randrange(1 << 16)) for _ in range(30)]
+        families = [dfam] + [dfam.subfamily(rng.randrange(1 << 16)) for _ in range(30)]
         families += non_definable_families(covering.universe, rng, 30)
         for family in families:
             reordered = list(family.members)
@@ -408,7 +407,7 @@ class TestEnumerationCalls:
 
         def subfamily(dfam, mask):
             built.append(mask)
-            return _subfamily(dfam, mask)
+            return dfam.subfamily(mask)
 
         monkeypatch.setattr(oracle, "_check_rough_given", kernel)
         monkeypatch.setattr(oracle, "_subfamily", subfamily)

@@ -27,7 +27,7 @@ from roughmatroids import (
     random_relation,
 )
 from roughmatroids import cli, oracle
-from roughmatroids.oracle import _subfamily, is_matroid_masks
+from roughmatroids.oracle import is_matroid_masks
 from test_crosscheck_identity import _lawsuite_cases
 
 
@@ -153,7 +153,7 @@ class TestEnumerateRoughMatroids:
         dfam = definable_family(neighborhoods_of_covering(chain_covering))
         listed = {fam.bitset() for fam in enumerate_rough_matroids(chain_covering)}
         for mask in range(1 << len(dfam)):
-            family = _subfamily(dfam, mask)
+            family = dfam.subfamily(mask)
             if family.bitset() not in listed:
                 assert not check_rough_matroid_covering(chain_covering, family).passed
 
